@@ -25,7 +25,6 @@ from .pauli import (
     StabGroup,
     centralizer,
     format_pauli,
-    minimal_generators,
     parse_pauli,
     span_elements,
     symplectic_product,
@@ -43,7 +42,6 @@ __all__ = [
     "StabGroup",
     "centralizer",
     "format_pauli",
-    "minimal_generators",
     "parse_pauli",
     "span_elements",
     "symplectic_product",

@@ -415,6 +415,13 @@ def _canonical_search(gph: ColoredGraph):
         explored = []
         uf = None
         uf_gen_count = -1
+
+        def find(x):
+            while uf[x] != x:
+                uf[x] = uf[uf[x]]
+                x = uf[x]
+            return x
+
         for v in candidates:
             if explored:
                 if uf_gen_count != len(gens):
@@ -422,27 +429,12 @@ def _canonical_search(gph: ColoredGraph):
                         g for g in gens if all(g[f] == f for f in fixed)
                     ]
                     uf = list(range(nverts))
-
-                    def find(x):
-                        while uf[x] != x:
-                            uf[x] = uf[uf[x]]
-                            x = uf[x]
-                        return x
-
                     for g in usable:
                         for w in range(nverts):
                             a, b = find(w), find(g[w])
                             if a != b:
                                 uf[a] = b
                     uf_gen_count = len(gens)
-                else:
-
-                    def find(x):
-                        while uf[x] != x:
-                            uf[x] = uf[uf[x]]
-                            x = uf[x]
-                        return x
-
                 if any(find(v) == find(u) for u in explored):
                     continue
             child = part.copy()

@@ -8,7 +8,6 @@ qubit j.
 """
 
 import argparse
-import os
 import sys
 
 from .canon import build_code_graph, canonical_form
@@ -17,22 +16,13 @@ from .db import (
     Query,
     build_records,
     emit_distributions,
+    invariants,
     query,
     write_db,
 )
 from .f2core import BitMatrix
 from .pauli import StabGroup
-from .properties import (
-    css_rank_test,
-    css_representative,
-    decompose,
-    distance,
-    gf4_representative,
-    is_decomposable,
-    is_degenerate,
-    is_even,
-    weight_enumerator,
-)
+from .properties import WeightEnum
 from .search import (
     GraphState,
     cws_enumerate,
@@ -66,13 +56,9 @@ def _format_bitrows(m: BitMatrix) -> str:
     )
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("STABDB_THREADS", "1"))
-
-
 def _cmd_enumerate(args) -> int:
     if args.strategy == "iterative":
-        classes = enumerate_classes(args.n, args.kmin, threads=args.threads)
+        classes = enumerate_classes(args.n, args.kmin)
     else:
         classes = {
             (args.n, k): cws_enumerate(args.n, k)
@@ -108,20 +94,21 @@ def _cmd_props(args) -> int:
     else:
         text = args.gens
     g = _parse_gens(text)
-    report = decompose(g)
+    inv = invariants(g)
     print(f"n: {g.n}")
     print(f"k: {g.k}")
-    print(f"d: {distance(g)}")
-    print(f"length: {report.length}")
-    for name, value in [
-        ("is_css", css_rank_test(g) or css_representative(g) is not None),
-        ("is_decomposable", is_decomposable(g)),
-        ("is_degenerate", is_degenerate(g)),
-        ("is_gf4linear", gf4_representative(g) is not None),
-        ("is_even", is_even(g)),
-    ]:
-        print(f"{name}: {str(value).lower()}")
-    print(f"weight_enumerator: {weight_enumerator(g).polynomial()}")
+    for name in (
+        "d",
+        "length",
+        "is_css",
+        "is_decomposable",
+        "is_degenerate",
+        "is_gf4linear",
+        "is_even",
+    ):
+        print(f"{name}: {str(inv[name]).lower()}")
+    wenum = WeightEnum(tuple(inv["weight_enumerator"]))
+    print(f"weight_enumerator: {wenum.polynomial()}")
     return 0
 
 
@@ -189,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy", choices=("iterative", "cws"), default="iterative"
     )
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify-mass", help="check mass identities of a database")

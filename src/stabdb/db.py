@@ -95,27 +95,33 @@ class CodeRecord:
         return cls(**obj)
 
 
+def invariants(g: StabGroup) -> dict:
+    """Every stored invariant except the canonical key and |Aut|, keyed by
+    record field name; records and ``stabdb props`` both read this table."""
+    report = decompose(g)
+    return {
+        "d": distance(g),
+        "is_css": css_rank_test(g) or css_representative(g) is not None,
+        "is_decomposable": report.decomposable,
+        "is_degenerate": is_degenerate(g),
+        "is_gf4linear": gf4_representative(g) is not None,
+        "is_even": is_even(g),
+        "length": report.length,
+        "weight_enumerator": list(weight_enumerator(g).coeffs),
+    }
+
+
 def record_from_group(g: StabGroup, index: int) -> CodeRecord:
     """Compute every stored invariant of one class representative."""
     key, aut = canonical_form(build_code_graph(g))
-    report = decompose(g)
-    wenum = weight_enumerator(g)
     return CodeRecord(
         n=g.n,
         k=g.k,
-        d=distance(g),
         index=index,
         generators=g.generator_strings(),
         aut_group_size=str(aut.size),
-        is_css=css_rank_test(g) or css_representative(g) is not None,
-        is_decomposable=g.n >= 2
-        and (bool(report.trivial_qubits) or report.length >= 2),
-        is_degenerate=is_degenerate(g),
-        is_gf4linear=gf4_representative(g) is not None,
-        is_even=is_even(g),
-        length=report.length,
-        weight_enumerator=list(wenum.coeffs),
         canonical_key=key.hex(),
+        **invariants(g),
     )
 
 

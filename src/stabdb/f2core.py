@@ -1,9 +1,7 @@
 """Bit-packed linear algebra over GF(2).
 
 Vectors and matrix rows are stored as Python integers, one bit per column
-with column j at bit j (little-endian within a row).  Everything here is a
-pure function on immutable values, so results are safe to share between
-threads or processes.
+with column j at bit j (little-endian within a row).
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ picture, and so the same class identity, distance and flags.
 
 from __future__ import annotations
 
-from .f2core import BitMatrix, BitVec, kernel, rref, _rank_of_rows
+from .f2core import BitMatrix, BitVec, _rank_of_rows, kernel, reduce_row, rref
 
 __all__ = [
     "PauliOp",
@@ -23,8 +23,8 @@ __all__ = [
     "symplectic_product",
     "span_elements",
     "span_rows",
-    "minimal_generators",
     "centralizer",
+    "logical_rows",
 ]
 
 _LETTERS = "IXZY"  # letter for the 2-bit code x + 2z
@@ -211,27 +211,6 @@ def span_elements(g: StabGroup) -> list[PauliOp]:
     return [PauliOp.from_packed(g.n, row) for row in span_rows(g)]
 
 
-def minimal_generators(elements) -> StabGroup:
-    """A minimal generating set spanning the same group as the inputs.
-
-    Inputs must pairwise commute (ValueError otherwise); closure is not
-    required, the span is taken.  Rows of the result are RREF-canonical, so
-    equal spans give equal generator matrices.
-    """
-    ops = list(elements)
-    if not ops:
-        raise ValueError("cannot infer qubit count from an empty element list")
-    n = ops[0].n
-    mask = (1 << n) - 1
-    packed = [p.packed() for p in ops]
-    for i in range(len(packed)):
-        for j in range(i + 1, len(packed)):
-            if _sym_packed(packed[i], packed[j], n, mask):
-                raise ValueError(f"elements {i} and {j} anticommute")
-    reduced, pivots, _ = rref(BitMatrix(2 * n, packed))
-    return StabGroup(n, BitMatrix(2 * n, reduced.rows[: len(pivots)]), validate=False)
-
-
 def centralizer(g: StabGroup) -> BitMatrix:
     """Basis of every phase-free Pauli commuting with all generators.
 
@@ -244,3 +223,22 @@ def centralizer(g: StabGroup) -> BitMatrix:
     mask = (1 << n) - 1
     swapped = [((row & mask) << n) | (row >> n) for row in g.gens.rows]
     return kernel(BitMatrix(2 * n, swapped))
+
+
+def logical_rows(g: StabGroup) -> list[int]:
+    """2k packed rows spanning the centralizer modulo the group span.
+
+    Centralizer basis rows are reduced against the group and against the
+    rows kept so far; the survivors, in centralizer basis order, complete
+    the group to its centralizer.
+    """
+    reduced, pivots, _ = rref(g.gens)
+    srows = reduced.rows[: len(pivots)]
+    out_rows, out_pivs = [], []
+    for row in centralizer(g).rows:
+        res = reduce_row(srows, pivots, row)
+        res = reduce_row(out_rows, out_pivs, res)
+        if res:
+            out_rows.append(res)
+            out_pivs.append((res & -res).bit_length() - 1)
+    return out_rows

@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref
-from .pauli import StabGroup, centralizer, span_rows
+from .pauli import StabGroup, logical_rows, span_rows
 from .transform import (
+    _NEWX_SRC,
+    _NEWZ_SRC,
     LocalClifford,
     apply_local_clifford,
     apply_perm,
@@ -25,7 +25,6 @@ from .transform import (
 
 __all__ = [
     "WeightEnum",
-    "GF4Vector",
     "DecompReport",
     "weight_enumerator",
     "distance",
@@ -37,7 +36,6 @@ __all__ = [
     "gf4_representative",
     "decompose",
     "is_decomposable",
-    "gf4_image",
 ]
 
 
@@ -61,29 +59,6 @@ class WeightEnum:
 
 
 @dataclass(frozen=True)
-class GF4Vector:
-    """A length-n vector over GF(4) = {0, 1, w, w^2} with w^2 = w + 1.
-
-    Entries are encoded as 0, 1, 2, 3 for 0, 1, w, w^2; addition is
-    componentwise XOR of the codes (characteristic 2, basis {1, w}).
-    """
-
-    entries: tuple
-
-    OMEGA = 2
-    OMEGA2 = 3
-
-    def __add__(self, other: "GF4Vector") -> "GF4Vector":
-        if len(self.entries) != len(other.entries):
-            raise ValueError("length mismatch")
-        return GF4Vector(tuple(a ^ b for a, b in zip(self.entries, other.entries)))
-
-    def __str__(self) -> str:
-        sym = ("0", "1", "w", "w^2")
-        return "(" + ", ".join(sym[e] for e in self.entries) + ")"
-
-
-@dataclass(frozen=True)
 class DecompReport:
     """Tensor decomposition of a stabilizer group.
 
@@ -100,6 +75,12 @@ class DecompReport:
     def length(self) -> int:
         return len(self.factors)
 
+    @property
+    def decomposable(self) -> bool:
+        """Whether the group splits across a nontrivial qubit bipartition:
+        it has at least two tensor parts, each untouched qubit being one."""
+        return len(self.trivial_qubits) + len(self.factors) >= 2
+
 
 def _weight(row: int, n: int, mask: int) -> int:
     return ((row | (row >> n)) & mask).bit_count()
@@ -113,22 +94,6 @@ def weight_enumerator(g: StabGroup) -> WeightEnum:
     for row in span_rows(g):
         coeffs[_weight(row, n, mask)] += 1
     return WeightEnum(tuple(coeffs))
-
-
-def _logical_reps(g: StabGroup) -> list[int]:
-    """2k packed rows completing the group to its centralizer."""
-    reduced, pivots, _ = rref(g.gens)
-    srows = reduced.rows[: len(pivots)]
-    logicals = []
-    lrows, lpivs = [], []
-    for row in centralizer(g).rows:
-        res = reduce_row(srows, pivots, row)
-        res = reduce_row(lrows, lpivs, res)
-        if res:
-            logicals.append(res)
-            lrows.append(res)
-            lpivs.append((res & -res).bit_length() - 1)
-    return logicals
 
 
 def distance(g: StabGroup) -> int:
@@ -145,7 +110,7 @@ def distance(g: StabGroup) -> int:
     span = span_rows(g)
     if g.k == 0:
         return min(_weight(row, n, mask) for row in span if row)
-    logicals = _logical_reps(g)
+    logicals = logical_rows(g)
     best = 2 * n
     cur = 0
     for t in range(1, 1 << len(logicals)):
@@ -197,16 +162,20 @@ def css_rank_test(g: StabGroup) -> bool:
     return x_rank + z_rank == g.r
 
 
-# per-gate column sources for the transformed X and Z blocks:
-# 0 reads the x column, 1 the z column, 2 their sum
-_GATE_T = (0, 1, 0, 2, 1, 2)
-_GATE_U = (1, 0, 2, 0, 2, 1)
+def css_representative(g: StabGroup):
+    """First letter-permutation witness whose image splits X/Z, or None.
 
-
-def _choice_rank_table(g: StabGroup) -> np.ndarray:
-    """rank of the matrix whose column j is the chosen source column of
-    qubit j, for all 3^n choice vectors (qubit 0 most significant)."""
+    Searches the 6^n per-qubit letter permutations depth first in odometer
+    order (qubit 0 first, gates in order I, H, S, R, Ri, V) and returns the
+    first (LocalClifford, transformed group) passing the rank split test.
+    Each qubit adds its new X and Z columns to two incremental GF(2) bases;
+    since rank(X) + rank(Z) never falls below r and only grows as columns
+    are added, a branch is cut once the sum exceeds r.  Qubit permutations
+    never help, so none are tried.
+    """
     n, r = g.n, g.r
+    if r == 0:
+        return LocalClifford.identity(n), g
     cols = []
     for j in range(n):
         cx = 0
@@ -214,76 +183,43 @@ def _choice_rank_table(g: StabGroup) -> np.ndarray:
         for i, row in enumerate(g.gens.rows):
             cx |= ((row >> j) & 1) << i
             cz |= ((row >> (n + j)) & 1) << i
-        cols.append((cx, cz, cx ^ cz))
-    table = np.empty(3**n, dtype=np.int8)
-    for idx, choice in enumerate(itertools.product(range(3), repeat=n)):
-        basis = []
-        rk = 0
-        for j, c in enumerate(choice):
-            v = cols[j][c]
+        cols.append({"x": cx, "z": cz, "xz": cx ^ cz})
+    gates = []
+
+    def reduced(basis, col):
+        out = {}
+        for src, v in col.items():
             for b in basis:
-                low = b & -b
-                if v & low:
+                if v & (b & -b):
                     v ^= b
-            if v:
-                basis.append(v)
-                rk += 1
-        table[idx] = rk
-    return table
+            out[src] = v
+        return out
 
+    def search(j, basis_x, basis_z):
+        if j == n:
+            return True
+        room = r - len(basis_x) - len(basis_z)
+        red_x = reduced(basis_x, cols[j])
+        red_z = reduced(basis_z, cols[j])
+        for gate in range(6):
+            vx = red_x[_NEWX_SRC[gate]]
+            vz = red_z[_NEWZ_SRC[gate]]
+            if (vx != 0) + (vz != 0) > room:
+                continue
+            gates.append(gate)
+            if search(
+                j + 1,
+                basis_x + [vx] if vx else basis_x,
+                basis_z + [vz] if vz else basis_z,
+            ):
+                return True
+            gates.pop()
+        return False
 
-def _sweep_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every gate tuple in odometer order, the base-3 indices of its
-    X-block and Z-block choice vectors."""
-    gt = np.array(_GATE_T, dtype=np.int64)
-    gu = np.array(_GATE_U, dtype=np.int64)
-    t = np.zeros(1, dtype=np.int64)
-    u = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        t = (np.repeat(t * 3, 6) + np.tile(gt, t.size))
-        u = (np.repeat(u * 3, 6) + np.tile(gu, u.size))
-    return t, u
-
-
-def css_representative(g: StabGroup):
-    """First letter-permutation witness whose image splits X/Z, or None.
-
-    Sweeps all 6^n per-qubit letter permutations in odometer order (gate
-    order I, H, S, R, Ri, V; qubit 0 most significant) and returns the
-    first (LocalClifford, transformed group) passing the rank split test.
-    Qubit permutations never help, so none are tried.
-    """
-    n = g.n
-    if g.r == 0:
-        w = LocalClifford.identity(n)
-        return w, g
-    table = _choice_rank_table(g)
-    r = g.r
-    # chunk the sweep so index arrays stay small for larger n
-    tail = min(n, 7)
-    head = n - tail
-    t_tail, u_tail = _sweep_indices(tail)
-    scale = 3**tail
-    block = 6**tail
-    for prefix_idx, prefix in enumerate(
-        itertools.product(range(6), repeat=head) if head else [()]
-    ):
-        t0 = 0
-        u0 = 0
-        for d in prefix:
-            t0 = t0 * 3 + _GATE_T[d]
-            u0 = u0 * 3 + _GATE_U[d]
-        hits = table[t0 * scale + t_tail] + table[u0 * scale + u_tail] == r
-        pos = int(np.argmax(hits))
-        if hits[pos]:
-            combined = prefix_idx * block + pos
-            digits = []
-            for _ in range(n):
-                combined, d = divmod(combined, 6)
-                digits.append(d)
-            w = LocalClifford(reversed(digits))
-            return w, apply_local_clifford(g, w)
-    return None
+    if not search(0, [], []):
+        return None
+    w = LocalClifford(gates)
+    return w, apply_local_clifford(g, w)
 
 
 def gf4_linear_test(g: StabGroup) -> bool:
@@ -403,24 +339,5 @@ def decompose(g: StabGroup) -> DecompReport:
 
 
 def is_decomposable(g: StabGroup) -> bool:
-    """Whether the group splits across a nontrivial qubit bipartition.
-
-    Single-qubit groups never do; otherwise any untouched qubit or a
-    second factor suffices.
-    """
-    if g.n < 2:
-        return False
-    report = decompose(g)
-    return bool(report.trivial_qubits) or report.length >= 2
-
-
-def gf4_image(g: StabGroup) -> list[GF4Vector]:
-    """The generators mapped entrywise by X -> 1, Z -> w, Y -> w^2."""
-    n = g.n
-    out = []
-    for row in g.gens.rows:
-        entries = tuple(
-            ((row >> j) & 1) + 2 * ((row >> (n + j)) & 1) for j in range(n)
-        )
-        out.append(GF4Vector(entries))
-    return out
+    """Whether the group splits across a nontrivial qubit bipartition."""
+    return decompose(g).decomposable

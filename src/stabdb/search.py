@@ -15,12 +15,11 @@ completeness of the transversal.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .canon import CanonicalKey, class_key
-from .f2core import BitMatrix, kernel, reduce_row, rref
-from .pauli import StabGroup, _sym_packed, centralizer
+from .f2core import BitMatrix, kernel, rref
+from .pauli import StabGroup, _sym_packed, logical_rows
 from .transform import apply_perm, rsf
 
 
@@ -63,20 +62,6 @@ class GraphState:
         return StabGroup(n, BitMatrix(2 * n, rows), validate=False)
 
 
-def _coset_generators(g: StabGroup) -> list[int]:
-    """2k packed rows spanning the centralizer modulo the group span."""
-    reduced, pivots, _ = rref(g.gens)
-    srows = reduced.rows[: len(pivots)]
-    out_rows, out_pivs = [], []
-    for row in centralizer(g).rows:
-        res = reduce_row(srows, pivots, row)
-        res = reduce_row(out_rows, out_pivs, res)
-        if res:
-            out_rows.append(res)
-            out_pivs.append((res & -res).bit_length() - 1)
-    return out_rows
-
-
 def extend_class(rep: StabGroup) -> list[StabGroup]:
     """All rank r+1 supergroups of rep, one per coset of its span.
 
@@ -87,7 +72,7 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
     if rep.k < 1:
         raise ValueError("a group with k = 0 admits no extension")
     n = rep.n
-    cosets = _coset_generators(rep)
+    cosets = logical_rows(rep)
     out = []
     cur = 0
     for t in range(1, 1 << len(cosets)):
@@ -102,7 +87,7 @@ def _sorted_entries(found: dict) -> list[ClassEntry]:
     return [ClassEntry(key, found[key], i) for i, key in enumerate(keys)]
 
 
-def enumerate_classes(n: int, k_min: int = 0, threads: int = 1) -> dict:
+def enumerate_classes(n: int, k_min: int = 0) -> dict:
     """Transversal of all equivalence classes for k = n down to k_min.
 
     Returns {(n, k): [ClassEntry, ...]} with entries in canonical key
@@ -118,19 +103,11 @@ def enumerate_classes(n: int, k_min: int = 0, threads: int = 1) -> dict:
     result = {(n, n): level}
     for k in range(n - 1, k_min - 1, -1):
         found = {}
-
-        def absorb(entry):
+        for entry in level:
             for cand in extend_class(entry.rep):
                 key = class_key(cand)
                 if key not in found:
                     found[key] = cand
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(absorb, level))
-        else:
-            for entry in level:
-                absorb(entry)
         level = _sorted_entries(found)
         result[(n, k)] = level
     return result
@@ -281,7 +258,7 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     """
     n = g.n
     mask = (1 << n) - 1
-    logical = _lagrangian_firsts(_coset_generators(g), n)
+    logical = _lagrangian_firsts(logical_rows(g), n)
     full = StabGroup(
         n, BitMatrix(2 * n, list(g.gens.rows) + logical), validate=False
     )

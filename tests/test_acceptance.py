@@ -6,12 +6,13 @@ fingerprints of landmark classes, CSS and GF(4) classifications, the
 two-strategy cross check, and invariance/oracle fuzz batteries.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from stabdb.canon import class_key
-from stabdb.db import record_from_group
+from stabdb.db import record_from_group, write_db
 from stabdb.f2core import BitMatrix, kernel, rank, rref
 from stabdb.properties import decompose
 from stabdb.search import cws_enumerate, enumerate_classes
@@ -44,6 +45,24 @@ def test_class_counts_up_to_five(full_enumeration):
     assert _counts(full_enumeration[4]["classes"], 4) == (6, 13, 11, 4, 1)
     assert _counts(full_enumeration[5]["classes"], 5) == (11, 36, 40, 19, 5, 1)
     assert sum(full_enumeration[n]["seconds"] for n in range(1, 6)) < 60.0
+
+
+# sha256 of codes_n{n}_k0..n.jsonl concatenated in k order; a change here
+# is a declared format change
+GOLDEN_DB_DIGESTS = {
+    5: "dd945050475c9d6238052b37711c92be1028a59511b3f521f071bdda5400f591",
+    6: "0b55e1e2152b46679f888985b59118542d197868e07979bf5806e07019908634",
+}
+
+
+def test_database_digests(full_enumeration, tmp_path):
+    for n, digest in GOLDEN_DB_DIGESTS.items():
+        out = tmp_path / f"n{n}"
+        write_db(full_enumeration[n]["records"], out)
+        h = hashlib.sha256()
+        for k in range(n + 1):
+            h.update((out / f"codes_n{n}_k{k}.jsonl").read_bytes())
+        assert h.hexdigest() == digest, n
 
 
 def test_class_counts_n6(full_enumeration):

@@ -1,6 +1,7 @@
 """Command line behavior: outputs, database plumbing, and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,10 @@ import pytest
 
 from stabdb.canon import aut_size, class_key
 from stabdb.cli import main
+from stabdb.db import build_records
 from stabdb.pauli import StabGroup
+from stabdb.properties import WeightEnum
+from stabdb.search import enumerate_classes
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -52,11 +56,17 @@ def test_enumerate_cws_strategy_matches(tmp_path, capsys):
         assert keys_a == keys_b
 
 
-def test_enumerate_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("STABDB_THREADS", "2")
-    assert main(["enumerate", "--n", "2", "--out", str(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert "n=2 k=0 classes=2" in out
+def test_enumerate_is_deterministic(tmp_path, capsys):
+    a = tmp_path / "a"
+    b = tmp_path / "b"
+    assert main(["enumerate", "--n", "4", "--out", str(a)]) == 0
+    assert main(["enumerate", "--n", "4", "--out", str(b)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert names == [f"codes_n4_k{k}.jsonl" for k in range(5)]
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_verify_mass_ok(cli_db, capsys):
@@ -79,13 +89,49 @@ def test_verify_mass_detects_missing_record(cli_db, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+README_PROPS = """\
+n: 5
+k: 1
+d: 3
+length: 1
+is_css: false
+is_decomposable: false
+is_degenerate: false
+is_gf4linear: true
+is_even: true
+weight_enumerator: 1 + 15x^4
+"""
+
+
 def test_props_gens(capsys):
     assert main(["props", "--gens", "XZZXI;IXZZX;XIXZZ;ZXIXZ"]) == 0
-    out = capsys.readouterr().out
-    assert "n: 5" in out and "k: 1" in out and "d: 3" in out
-    assert "is_gf4linear: true" in out
-    assert "is_css: false" in out
-    assert "weight_enumerator: 1 + 15x^4" in out
+    assert capsys.readouterr().out == README_PROPS
+
+
+def test_props_prints_stored_invariants(capsys):
+    # the trivial groups have no generators to pass and are skipped
+    for n in range(1, 4):
+        for records in build_records(enumerate_classes(n)).values():
+            for rec in records:
+                if not rec.generators:
+                    continue
+                assert main(["props", "--gens", ";".join(rec.generators)]) == 0
+                wenum = WeightEnum(tuple(rec.weight_enumerator)).polynomial()
+                expected = [f"n: {rec.n}", f"k: {rec.k}"]
+                expected += [
+                    f"{name}: {str(getattr(rec, name)).lower()}"
+                    for name in (
+                        "d",
+                        "length",
+                        "is_css",
+                        "is_decomposable",
+                        "is_degenerate",
+                        "is_gf4linear",
+                        "is_even",
+                    )
+                ]
+                expected.append(f"weight_enumerator: {wenum}")
+                assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_props_infile(tmp_path, capsys):
@@ -170,3 +216,24 @@ def test_usage_errors_exit_2_subprocess():
             capture_output=True,
         )
         assert proc.returncode == 2, argv
+
+
+def test_cli_runs_without_numpy():
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from stabdb.cli import main\n"
+        "assert main(['props', '--gens', 'XZZXI;IXZZX;XIXZZ;ZXIXZ']) == 0\n"
+        "assert main(['canon', '--gens', 'XX;ZZ']) == 0\n"
+    )
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(README_PROPS)
+    assert "aut_group_size: 12" in proc.stdout

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stabdb.f2core import BitMatrix, rank
 from stabdb.pauli import (
     PauliOp,
     StabGroup,
     centralizer,
     format_pauli,
-    minimal_generators,
+    logical_rows,
     parse_pauli,
     span_elements,
     span_rows,
@@ -139,22 +140,6 @@ class TestSpan:
         assert [p.packed() for p in span_elements(g)] == [0]
 
 
-class TestMinimalGenerators:
-    def test_drops_redundant(self):
-        g = minimal_generators([parse_pauli(s) for s in ["XX", "ZZ", "YY", "II"]])
-        assert g.r == 2
-        assert g.same_group(StabGroup.from_strings(["XX", "ZZ"]))
-
-    def test_canonical_rows(self):
-        a = minimal_generators([parse_pauli(s) for s in ["XX", "YY"]])
-        b = minimal_generators([parse_pauli(s) for s in ["ZZ", "XX"]])
-        assert a.gens == b.gens
-
-    def test_rejects_anticommuting(self):
-        with pytest.raises(ValueError, match="anticommute"):
-            minimal_generators([parse_pauli("XI"), parse_pauli("ZI")])
-
-
 class TestCentralizer:
     def test_zz_centralizer_exhaustive(self):
         # every 2-qubit Pauli commuting with ZZ, checked against brute force
@@ -189,6 +174,17 @@ class TestCentralizer:
         # a weight-1 operator does not (distance 3)
         assert reduce_row(rows, pivots, parse_pauli("ZIIII").packed()) != 0
 
+    def test_logical_rows_complete_the_group(self):
+        # 2k centralizer rows, independent of each other and of the group
+        g = StabGroup.from_strings(["XXXX", "ZZZZ"])
+        logical = logical_rows(g)
+        assert len(logical) == 2 * g.k
+        assert rank(BitMatrix(2 * g.n, list(g.gens.rows) + logical)) == g.n + g.k
+        for row in logical:
+            p = PauliOp.from_packed(g.n, row)
+            assert not any(symplectic_product(p, s) for s in g.generators())
+        assert logical_rows(StabGroup.from_strings(["XX", "ZZ"])) == []
+
     def test_trivial_group(self):
         g = StabGroup.from_strings([], n=2)
         assert centralizer(g).nrows == 4
@@ -212,29 +208,3 @@ def test_symplectic_form_is_symmetric_bilinear(pair):
     lhs = symplectic_product(ab, c)
     rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
     assert lhs == rhs
-
-
-@settings(max_examples=100)
-@given(st.integers(1, 5), st.data())
-def test_minimal_generators_idempotent(n, data):
-    # build a random abelian set by taking span elements of a random group
-    nrows = data.draw(st.integers(0, n))
-    rows = []
-    tries = 0
-    while len(rows) < nrows and tries < 200:
-        tries += 1
-        cand = data.draw(st.integers(1, (1 << (2 * n)) - 1))
-        ok = all(
-            symplectic_product(
-                PauliOp.from_packed(n, cand), PauliOp.from_packed(n, r)
-            )
-            == 0
-            for r in rows
-        )
-        if ok:
-            rows.append(cand)
-    ops = [PauliOp.from_packed(n, r) for r in rows]
-    if not ops:
-        return
-    g = minimal_generators(ops)
-    assert g.same_group(minimal_generators(span_elements(g)))

@@ -1,18 +1,17 @@
 """Invariant computations checked against the known classification rows,
 brute-force oracles, and transformation invariance."""
 
+import itertools
 import random
 
 from stabdb.canon import aut_size, class_key
 from stabdb.pauli import StabGroup, parse_pauli, symplectic_product
 from stabdb.properties import (
-    GF4Vector,
     WeightEnum,
     css_rank_test,
     css_representative,
     decompose,
     distance,
-    gf4_image,
     gf4_linear_test,
     gf4_representative,
     is_decomposable,
@@ -20,7 +19,13 @@ from stabdb.properties import (
     is_even,
     weight_enumerator,
 )
-from stabdb.transform import apply_lcperm, random_lcperm
+from stabdb.search import enumerate_classes
+from stabdb.transform import (
+    LocalClifford,
+    apply_lcperm,
+    apply_local_clifford,
+    random_lcperm,
+)
 
 from reference_data import (
     CLASS_ROWS,
@@ -168,6 +173,32 @@ def test_css_representative_absent():
     assert css_representative(g) is None
 
 
+def test_css_witness_is_first_odometer_hit():
+    # the pruned search returns exactly the first witness of the plain 6^n
+    # odometer (qubit 0 most significant, gates in index order), or None
+    # when the odometer finds none
+    for n in range(1, 5):
+        for entries in enumerate_classes(n).values():
+            for e in entries:
+                first = next(
+                    (
+                        w
+                        for w in map(
+                            LocalClifford, itertools.product(range(6), repeat=n)
+                        )
+                        if css_rank_test(apply_local_clifford(e.rep, w))
+                    ),
+                    None,
+                )
+                res = css_representative(e.rep)
+                if first is None:
+                    assert res is None, e.rep
+                else:
+                    w, image = res
+                    assert w == first, e.rep
+                    assert image.gens == apply_local_clifford(e.rep, w).gens
+
+
 def test_css_reference_counts_small():
     # every reference class on up to 5 qubits: CSS iff a witness exists,
     # and the listed generator form is already split whenever one exists
@@ -224,14 +255,6 @@ def apply_lcperm_letters(g, clifford):
     from stabdb.transform import apply_local_clifford
 
     return apply_local_clifford(g, clifford)
-
-
-def test_gf4_image_entries():
-    g = StabGroup.from_strings(["XX", "ZZ"])
-    img = gf4_image(g)
-    assert [v.entries for v in img] == [(1, 1), (2, 2)]
-    assert (img[0] + img[1]).entries == (3, 3)
-    assert str(GF4Vector((0, 1, 2, 3))) == "(0, 1, w, w^2)"
 
 
 # ------------------------------------------------------------ decomposition

@@ -47,13 +47,6 @@ def test_entry_order_and_indices():
         assert [e.index for e in entries] == list(range(len(entries)))
 
 
-def test_threaded_enumeration_matches():
-    plain = enumerate_classes(3)
-    threaded = enumerate_classes(3, threads=2)
-    for cell, entries in plain.items():
-        assert [e.key for e in threaded[cell]] == [e.key for e in entries]
-
-
 def test_trivial_extensions_single_class():
     exts = extend_class(StabGroup.from_strings([], 1))
     assert len(exts) == 3  # X, Y, Z
