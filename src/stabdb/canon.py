@@ -37,6 +37,7 @@ __all__ = [
     "canonical_form",
     "class_key",
     "aut_size",
+    "automorphisms",
     "are_equivalent",
 ]
 
@@ -484,30 +485,45 @@ def aut_size(g: StabGroup) -> int:
     return aut.size
 
 
-def _witness_from_labelings(a: StabGroup, lab_a, lab_b) -> LCPerm:
-    """LCPerm carrying group a onto group b, from matching canonical labels."""
-    n = a.n
-    t = 1 << a.r
-    inv_b = [0] * (t + 3 * n)
-    for v, p in enumerate(lab_b):
-        inv_b[p] = v
+def _lcperm_of_vertex_map(vmap, n: int, t: int) -> LCPerm:
+    """The LCPerm a triangle-preserving vertex map induces on the qubits.
+
+    vmap[v] is the image of vertex v; black vertices are 0..t-1 and qubit
+    j's corners are t+3j+slot.  The corner slots of triangle j land in
+    triangle image[j], and their slot map is that qubit's letter
+    permutation, indexed by post-permutation position.
+    """
     image = [0] * n
-    gates_by_source = [0] * n
-    for j in range(n):
-        slot_map = {}
-        for s in range(3):
-            w = inv_b[lab_a[t + 3 * j + s]]
-            jj, ss = divmod(w - t, 3)
-            slot_map[s] = ss
-            image[j] = jj
-        perm4 = [0, 0, 0, 0]
-        for code in (1, 2, 3):
-            perm4[code] = _CODE_OF_SLOT[slot_map[_SLOT_OF_CODE[code]]]
-        gates_by_source[j] = _PERM_INDEX[tuple(perm4)]
     gates = [0] * n
     for j in range(n):
-        gates[image[j]] = gates_by_source[j]
+        base = t + 3 * j
+        jj = (vmap[base] - t) // 3
+        perm4 = [0, 0, 0, 0]
+        for code in (1, 2, 3):
+            slot = (vmap[base + _SLOT_OF_CODE[code]] - t) % 3
+            perm4[code] = _CODE_OF_SLOT[slot]
+        image[j] = jj
+        gates[jj] = _PERM_INDEX[tuple(perm4)]
     return LCPerm(LocalClifford(gates), QubitPerm(image))
+
+
+def automorphisms(g: StabGroup) -> tuple[LCPerm, ...]:
+    """Generators of the symmetry stabilizer {phi : phi(S) = S}, as LCPerms.
+
+    They are the code graph's automorphism generators found by the
+    canonical search, decoded through their action on the qubit triangles.
+    """
+    _, gens = _canonical_search(build_code_graph(g))
+    t = 1 << g.r
+    return tuple(_lcperm_of_vertex_map(perm, g.n, t) for perm in gens)
+
+
+def _witness_from_labelings(a: StabGroup, lab_a, lab_b) -> LCPerm:
+    """LCPerm carrying group a onto group b, from matching canonical labels."""
+    inv_b = [0] * len(lab_b)
+    for v, p in enumerate(lab_b):
+        inv_b[p] = v
+    return _lcperm_of_vertex_map([inv_b[p] for p in lab_a], a.n, 1 << a.r)
 
 
 def are_equivalent(a: StabGroup, b: StabGroup, witness: bool = False):

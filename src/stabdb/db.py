@@ -63,9 +63,41 @@ class CodeRecord:
     def group(self) -> StabGroup:
         return StabGroup.from_strings(self.generators, self.n)
 
+    def _check_types(self):
+        """Raise unless every field has its declared type (bool is not int).
+
+        One chained test keeps the cost per record read well below that of
+        parsing the line; only a failing record pays to name its fields.
+        """
+        if (
+            type(self.n) is int
+            and type(self.k) is int
+            and type(self.d) is int
+            and type(self.index) is int
+            and type(self.generators) is list
+            and type(self.aut_group_size) is str
+            and type(self.is_css) is bool
+            and type(self.is_decomposable) is bool
+            and type(self.is_degenerate) is bool
+            and type(self.is_gf4linear) is bool
+            and type(self.is_even) is bool
+            and type(self.length) is int
+            and type(self.weight_enumerator) is list
+            and type(self.canonical_key) is str
+        ):
+            return
+        bad = [
+            f.name for f in fields(self) if type(getattr(self, f.name)) is not f.type
+        ]
+        raise ValueError(f"wrong type for field(s) {', '.join(bad)}")
+
     def validate(self):
-        """Check internal consistency; raises naming the record."""
+        """Check types and internal consistency; raises naming the record."""
         where = f"record (n={self.n}, k={self.k}, index={self.index})"
+        try:
+            self._check_types()
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         try:
             g = self.group()
         except ValueError as exc:
@@ -92,7 +124,9 @@ class CodeRecord:
         obj = json.loads(line)
         if tuple(obj) != _FIELD_ORDER:
             raise ValueError("unexpected record fields")
-        return cls(**obj)
+        rec = cls(**obj)
+        rec._check_types()
+        return rec
 
 
 def invariants(g: StabGroup) -> dict:

@@ -6,7 +6,7 @@ with column j at bit j (little-endian within a row).
 
 from __future__ import annotations
 
-__all__ = ["BitVec", "BitMatrix", "rank", "rref", "kernel", "matmul", "reduce_row"]
+__all__ = ["BitVec", "BitMatrix", "rank", "rref", "kernel", "reduce_row"]
 
 
 class BitVec:
@@ -200,25 +200,6 @@ def kernel(m: BitMatrix) -> BitMatrix:
                 v |= 1 << p
         basis.append(v)
     return BitMatrix(m.ncols, basis)
-
-
-def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2); row i of the result is XOR of b-rows
-    selected by the set bits of a's row i."""
-    if a.ncols != b.nrows:
-        raise ValueError("inner dimensions disagree")
-    out = []
-    for ra in a.rows:
-        acc = 0
-        v = ra
-        j = 0
-        while v:
-            if v & 1:
-                acc ^= b.rows[j]
-            v >>= 1
-            j += 1
-        out.append(acc)
-    return BitMatrix(b.ncols, out)
 
 
 def reduce_row(reduced_rows, pivots, v: int) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "gf4_linear_test",
     "gf4_representative",
     "decompose",
-    "is_decomposable",
 ]
 
 
@@ -337,7 +336,3 @@ def decompose(g: StabGroup) -> DecompReport:
     factors.sort(key=lambda f: f[0])
     return DecompReport(trivial, tuple(factors))
 
-
-def is_decomposable(g: StabGroup) -> bool:
-    """Whether the group splits across a nontrivial qubit bipartition."""
-    return decompose(g).decomposable

@@ -5,7 +5,9 @@ classes per (n, k):
 
 * the iterative search extends every class representative at level k by
   one commuting generator to reach level k - 1, deduplicating through
-  canonical keys, and
+  canonical keys; extensions in one orbit of the representative's
+  automorphism group land in one class, so only one per orbit is
+  canonicalized (canonical augmentation, McKay 1998), and
 
 * the codeword search pairs graph orbit representatives with classical
   linear codes.
@@ -17,10 +19,10 @@ completeness of the transversal.
 import itertools
 from dataclasses import dataclass
 
-from .canon import CanonicalKey, class_key
+from .canon import CanonicalKey, automorphisms, class_key
 from .f2core import BitMatrix, kernel, rref
 from .pauli import StabGroup, _sym_packed, logical_rows
-from .transform import apply_perm, rsf
+from .transform import apply_perm, lcperm_rows, rsf
 
 
 @dataclass(frozen=True)
@@ -63,22 +65,70 @@ class GraphState:
 
 
 def extend_class(rep: StabGroup) -> list[StabGroup]:
-    """All rank r+1 supergroups of rep, one per coset of its span.
+    """Rank r+1 supergroups of rep, one per Aut(rep)-orbit of extensions.
 
     Adjoining P and adjoining P*s for s in the span give the same group,
-    so candidates are taken modulo the span: 2^2k - 1 extensions, each a
-    commuting independent addition, enumerated by Gray-code updates.
+    so extensions are the 2^2k - 1 nonzero cosets of the span in its
+    centralizer, walked in Gray-code order over the logical_rows basis.
+    A symmetry of rep maps each extension onto one in the same class, so
+    only the Gray-earliest member of each orbit is returned: every coset
+    is a 2k-bit coordinate vector, each automorphism generator a GF(2)
+    map on those vectors, and an emitted coset floods its orbit.  The
+    earliest extension landing in any class is the earliest of its own
+    orbit, so a first-found-wins search keeps the same representatives.
     """
     if rep.k < 1:
         raise ValueError("a group with k = 0 admits no extension")
-    n = rep.n
+    n, r = rep.n, rep.r
     cosets = logical_rows(rep)
+    basis = list(rep.gens.rows) + cosets  # spans the centralizer
+    reduced, pivots, trans = rref(BitMatrix(2 * n, basis))
+    steps = list(zip(reduced.rows, pivots, trans.rows))
+
+    def coordinates(v):
+        c = 0
+        for row, p, combo in steps:
+            if (v >> p) & 1:
+                v ^= row
+                c ^= combo
+        if v:
+            raise AssertionError(
+                "internal error: automorphism image leaves the centralizer"
+            )
+        return c >> r
+
+    # tables[i][c] is generator i's image of coset coordinate vector c
+    tables = []
+    for aut in automorphisms(rep):
+        images = [coordinates(v) for v in lcperm_rows(aut, basis)]
+        if any(images[:r]):
+            raise AssertionError(
+                "internal error: automorphism does not fix the group"
+            )
+        table = [0]
+        for col in images[r:]:
+            table += [c ^ col for c in table]
+        tables.append(table)
+
+    seen = bytearray(1 << len(cosets))
     out = []
     cur = 0
     for t in range(1, 1 << len(cosets)):
         cur ^= cosets[(t & -t).bit_length() - 1]
-        rows = list(rep.gens.rows) + [cur]
+        c = t ^ (t >> 1)  # coordinates of cur
+        if seen[c]:
+            continue
+        seen[c] = 1
+        rows = basis[:r] + [cur]
         out.append(StabGroup(n, BitMatrix(2 * n, rows), validate=False))
+        orbit = [c]
+        while orbit:
+            u = orbit.pop()
+            for table in tables:
+                v = table[u]
+                if not seen[v]:
+                    seen[v] = 1
+                    orbit.append(v)
     return out
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "apply_local_clifford",
     "apply_perm",
     "apply_lcperm",
+    "lcperm_rows",
     "compose",
     "inverse",
     "identity_lcperm",
@@ -201,34 +202,25 @@ def _masks(gates, src_table):
     return m["x"], m["z"], m["xz"]
 
 
-def apply_local_clifford(g: StabGroup, w: LocalClifford) -> StabGroup:
-    """Permute the letters of every generator, qubit by qubit."""
-    if w.n != g.n:
-        raise ValueError("qubit counts differ")
-    n = g.n
+def _letter_rows(rows, n: int, gates) -> list[int]:
     mask = (1 << n) - 1
-    ax, az, axz = _masks(w.gates, _NEWX_SRC)
-    bx, bz, bxz = _masks(w.gates, _NEWZ_SRC)
+    ax, az, axz = _masks(gates, _NEWX_SRC)
+    bx, bz, bxz = _masks(gates, _NEWZ_SRC)
     new_rows = []
-    for row in g.gens.rows:
+    for row in rows:
         x = row & mask
         z = row >> n
         xz = x ^ z
         nx = (x & ax) | (z & az) | (xz & axz)
         nz = (x & bx) | (z & bz) | (xz & bxz)
         new_rows.append(nx | (nz << n))
-    return StabGroup(n, BitMatrix(2 * n, new_rows), validate=False)
+    return new_rows
 
 
-def apply_perm(g: StabGroup, p: QubitPerm) -> StabGroup:
-    """Move the letter at qubit j to qubit p.image[j] in every generator."""
-    if p.n != g.n:
-        raise ValueError("qubit counts differ")
-    n = g.n
+def _perm_rows(rows, n: int, image) -> list[int]:
     mask = (1 << n) - 1
-    image = p.image
     new_rows = []
-    for row in g.gens.rows:
+    for row in rows:
         x = row & mask
         z = row >> n
         nx = 0
@@ -239,7 +231,32 @@ def apply_perm(g: StabGroup, p: QubitPerm) -> StabGroup:
             if (z >> j) & 1:
                 nz |= 1 << image[j]
         new_rows.append(nx | (nz << n))
-    return StabGroup(n, BitMatrix(2 * n, new_rows), validate=False)
+    return new_rows
+
+
+def apply_local_clifford(g: StabGroup, w: LocalClifford) -> StabGroup:
+    """Permute the letters of every generator, qubit by qubit."""
+    if w.n != g.n:
+        raise ValueError("qubit counts differ")
+    rows = _letter_rows(g.gens.rows, g.n, w.gates)
+    return StabGroup(g.n, BitMatrix(2 * g.n, rows), validate=False)
+
+
+def apply_perm(g: StabGroup, p: QubitPerm) -> StabGroup:
+    """Move the letter at qubit j to qubit p.image[j] in every generator."""
+    if p.n != g.n:
+        raise ValueError("qubit counts differ")
+    rows = _perm_rows(g.gens.rows, g.n, p.image)
+    return StabGroup(g.n, BitMatrix(2 * g.n, rows), validate=False)
+
+
+def lcperm_rows(a: LCPerm, rows) -> list[int]:
+    """Images under a of packed [x|z] rows on a.n qubits, in order.
+
+    Unlike apply_lcperm the rows need not form a stabilizer group, so any
+    set of Paulis (a centralizer basis, say) can be moved.
+    """
+    return _letter_rows(_perm_rows(rows, a.n, a.perm.image), a.n, a.clifford.gates)
 
 
 def apply_lcperm(g: StabGroup, a: LCPerm) -> StabGroup:

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from stabdb.canon import class_key
-from stabdb.db import record_from_group, write_db
+from stabdb.db import build_records, write_db
 from stabdb.f2core import BitMatrix, kernel, rank, rref
 from stabdb.properties import decompose
 from stabdb.search import cws_enumerate, enumerate_classes
@@ -53,6 +53,7 @@ GOLDEN_DB_DIGESTS = {
     5: "dd945050475c9d6238052b37711c92be1028a59511b3f521f071bdda5400f591",
     6: "0b55e1e2152b46679f888985b59118542d197868e07979bf5806e07019908634",
 }
+N7_DB_DIGEST = "bc77bcc8cf53ba2a976d12fe21c203028ee3b255c024d4a08593bfecde6b8bac"
 
 
 def test_database_digests(full_enumeration, tmp_path):
@@ -267,16 +268,20 @@ def test_decompose_roundtrip_fuzz():
 
 
 @pytest.mark.slow
-def test_n7_stretch():
+def test_n7_stretch(tmp_path):
     classes = enumerate_classes(7)
     counts = tuple(len(classes[(7, k)]) for k in range(8))
     assert counts == CLASS_COUNTS[7]
     assert sum(counts) == 2757
 
-    records = [
-        record_from_group(e.rep, e.index) for e in classes[(7, 1)]
-    ]
-    hits = [r for r in records if r.d == 3 and not r.is_decomposable]
+    records = build_records(classes)
+    write_db(records, tmp_path)
+    h = hashlib.sha256()
+    for k in range(8):
+        h.update((tmp_path / f"codes_n7_k{k}.jsonl").read_bytes())
+    assert h.hexdigest() == N7_DB_DIGEST
+
+    hits = [r for r in records[(7, 1)] if r.d == 3 and not r.is_decomposable]
     assert len(hits) == 16
     steane = [r for r in hits if r.aut_group_size == "1008"]
     assert len(steane) == 1

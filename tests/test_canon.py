@@ -8,14 +8,18 @@ import pytest
 
 from stabdb.canon import (
     ColoredGraph,
+    _perm_group_order,
     are_equivalent,
     aut_size,
+    automorphisms,
     build_code_graph,
     canonical_form,
     class_key,
 )
 from stabdb.pauli import StabGroup
+from stabdb.search import enumerate_classes
 from stabdb.transform import (
+    LETTER_PERMS,
     LCPerm,
     LocalClifford,
     QubitPerm,
@@ -169,6 +173,40 @@ class TestKnownAutSizes:
                     if apply_lcperm(g, lp).canonical_gens() == target:
                         count += 1
             assert aut_size(g) == count
+
+
+def _letter_point_perm(a: LCPerm) -> tuple:
+    """a as a permutation of the 3n points (qubit j, letter X/Z/Y), which
+    it permutes faithfully: qubit j's letter moves to qubit image[j]."""
+    out = [0] * (3 * a.n)
+    for j, m in enumerate(a.perm.image):
+        letters = LETTER_PERMS[a.clifford.gates[m]]
+        for code in (1, 2, 3):
+            out[3 * j + code - 1] = 3 * m + letters[code] - 1
+    return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def class_reps():
+    """Every class representative for n <= 4."""
+    return [
+        e.rep
+        for n in range(1, 5)
+        for entries in enumerate_classes(n).values()
+        for e in entries
+    ]
+
+
+class TestAutomorphisms:
+    def test_generators_fix_class_reps(self, class_reps):
+        for g in class_reps:
+            for a in automorphisms(g):
+                assert apply_lcperm(g, a).same_group(g)
+
+    def test_generators_give_aut_size(self, class_reps):
+        for g in class_reps:
+            points = [_letter_point_perm(a) for a in automorphisms(g)]
+            assert _perm_group_order(points, 3 * g.n) == aut_size(g)
 
 
 class TestClassKey:

@@ -203,6 +203,20 @@ def test_input_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):
+    for path in cli_db.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "codes_n2_k0.jsonl"
+    lines = target.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["d"], obj["is_css"] = str(obj["d"]), "yes"
+    lines[0] = json.dumps(obj, separators=(",", ":"))
+    target.write_text("".join(line + "\n" for line in lines))
+    assert main(["query", "--db", str(tmp_path), "--d", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "codes_n2_k0.jsonl:1:" in err and "d, is_css" in err
+
+
 def test_usage_errors_exit_2_subprocess():
     for argv in (
         ["enumerate"],  # missing required --n/--out

@@ -114,6 +114,32 @@ def test_read_db_corrupt_line(db3, tmp_path):
         read_db(tmp_path, 3, 2)
 
 
+def test_record_field_types(db3, tmp_path):
+    rec = record_from_group(StabGroup.from_strings(["XX", "ZZ"], 2), 0)
+    obj = json.loads(rec.to_json())
+    for name, value in obj.items():
+        for wrong in ("1", 1, True, [1], None):
+            if type(wrong) is type(value):
+                continue
+            line = json.dumps(dict(obj, **{name: wrong}))
+            with pytest.raises(ValueError, match=rf"field\(s\) {name}$"):
+                CodeRecord.from_json(line)
+    bad = CodeRecord.from_json(rec.to_json())
+    bad.d, bad.is_css = "1", "yes"
+    with pytest.raises(ValueError, match=r"index=0\): .* d, is_css$"):
+        bad.validate()
+    # read_db names the file and line of a mistyped record
+    directory, _ = db3
+    target = tmp_path / "codes_n3_k1.jsonl"
+    lines = (directory / target.name).read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["d"] = str(obj["d"])
+    lines[1] = json.dumps(obj, separators=(",", ":"))
+    target.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=r"codes_n3_k1\.jsonl:2: .* d$"):
+        read_db(tmp_path, 3, 1)
+
+
 def test_database_cells(db3):
     directory, _ = db3
     assert Database(directory).cells() == [(3, k) for k in range(4)]

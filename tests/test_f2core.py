@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabdb.f2core import BitMatrix, BitVec, kernel, matmul, rank, reduce_row, rref
+from stabdb.f2core import BitMatrix, BitVec, kernel, rank, reduce_row, rref
+
+from util import matmul
 
 
 def mat(ncols, *rows):

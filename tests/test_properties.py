@@ -14,7 +14,6 @@ from stabdb.properties import (
     distance,
     gf4_linear_test,
     gf4_representative,
-    is_decomposable,
     is_degenerate,
     is_even,
     weight_enumerator,
@@ -60,7 +59,7 @@ def test_reference_aut_sizes():
 def test_reference_rows_are_indecomposable():
     for row in CLASS_ROWS:
         g = group_from_row(row)
-        assert not is_decomposable(g), row[:4]
+        assert not decompose(g).decomposable, row[:4]
 
 
 def test_reference_rows_pairwise_inequivalent():
@@ -279,10 +278,10 @@ def test_decompose_examples():
     assert rep.trivial_qubits == (0, 1, 2)
     assert rep.length == 0
 
-    assert not is_decomposable(StabGroup.from_strings([], 1))
-    assert not is_decomposable(StabGroup.from_strings(["XX", "ZZ"]))
-    assert is_decomposable(StabGroup.from_strings([], 2))
-    assert is_decomposable(StabGroup.from_strings(["XXI", "ZZI"]))
+    assert not decompose(StabGroup.from_strings([], 1)).decomposable
+    assert not decompose(StabGroup.from_strings(["XX", "ZZ"])).decomposable
+    assert decompose(StabGroup.from_strings([], 2)).decomposable
+    assert decompose(StabGroup.from_strings(["XXI", "ZZI"])).decomposable
 
 
 def test_decompose_roundtrip_random():
@@ -295,7 +294,7 @@ def test_decompose_roundtrip_random():
         touched = set()
         for qubits, factor in rep.factors:
             assert factor.r >= 1
-            assert not is_decomposable(factor)
+            assert not decompose(factor).decomposable
             assert not set(qubits) & touched
             touched |= set(qubits)
         assert touched | set(rep.trivial_qubits) == set(range(n))
@@ -326,7 +325,7 @@ def test_flags_invariant_under_equivalence():
         assert weight_enumerator(g).coeffs == weight_enumerator(h).coeffs
         assert is_even(g) == is_even(h)
         assert is_degenerate(g) == is_degenerate(h)
-        assert is_decomposable(g) == is_decomposable(h)
+        assert decompose(g).decomposable == decompose(h).decomposable
         assert decompose(g).length == decompose(h).length
         assert (css_representative(g) is None) == (
             css_representative(h) is None)

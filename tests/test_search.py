@@ -6,7 +6,8 @@ import pytest
 
 from stabdb.canon import class_key
 from stabdb.f2core import BitMatrix
-from stabdb.pauli import StabGroup, span_rows
+from stabdb import search
+from stabdb.pauli import StabGroup, logical_rows, span_rows
 from stabdb.search import (
     GraphState,
     _rref_matrices,
@@ -47,35 +48,72 @@ def test_entry_order_and_indices():
         assert [e.index for e in entries] == list(range(len(entries)))
 
 
+def _full_walk(rep):
+    """Generator rows of every coset extension of rep, in Gray-code order:
+    the unpruned walk that extend_class selects from."""
+    cosets = logical_rows(rep)
+    out, cur = [], 0
+    for t in range(1, 1 << len(cosets)):
+        cur ^= cosets[(t & -t).bit_length() - 1]
+        out.append(list(rep.gens.rows) + [cur])
+    return out
+
+
 def test_trivial_extensions_single_class():
+    # X, Y and Z form one orbit: only the Gray-first coset X is kept
     exts = extend_class(StabGroup.from_strings([], 1))
-    assert len(exts) == 3  # X, Y, Z
-    assert all(g.r == 1 for g in exts)
-    assert len({class_key(g) for g in exts}) == 1
+    assert [g.generator_strings() for g in exts] == [["X"]]
 
 
 def test_zz_extensions_two_classes():
-    exts = extend_class(StabGroup.from_strings(["ZZ"], 2))
-    assert len(exts) == 3
+    # cosets XX, XY (one orbit: S on qubit 1 fixes ZZ) and IZ
+    rep = StabGroup.from_strings(["ZZ"], 2)
+    exts = extend_class(rep)
+    assert len(_full_walk(rep)) == 3
+    assert [g.generator_strings() for g in exts] == [["ZZ", "XX"], ["ZZ", "IZ"]]
     assert len({class_key(g) for g in exts}) == 2
 
 
 def test_extend_class_shape():
     rng = random.Random(7)
-    for _ in range(12):
-        n = rng.randrange(1, 5)
-        r = rng.randrange(0, n)  # k >= 1
-        g = random_stab_group(n, r, rng)
+    groups = [random_stab_group(n, r, rng) for n in range(1, 5) for r in range(n)]
+    groups += [
+        random_stab_group(n, rng.randrange(0, n), rng)
+        for n in (rng.randrange(1, 5) for _ in range(12))
+    ]
+    for g in groups:
         exts = extend_class(g)
-        assert len(exts) == (1 << (2 * g.k)) - 1
+        rows = [ext.gens.rows for ext in exts]
+        full = _full_walk(g)
+        # a subsequence of the full walk, same rows in the same order
+        it = iter(full)
+        assert all(any(row == f for f in it) for row in rows)
+        first = {}
+        for f in full:
+            key = class_key(StabGroup(g.n, BitMatrix(2 * g.n, f)))
+            first.setdefault(key, f)
+        assert {class_key(ext) for ext in exts} == set(first)
+        assert all(f in rows for f in first.values())
         base = set(span_rows(g))
         seen = set()
         for ext in exts:
-            assert ext.r == r + 1
-            rows = frozenset(span_rows(ext))
-            assert base <= rows
-            assert rows not in seen  # distinct groups, not just classes
-            seen.add(rows)
+            assert ext.r == g.r + 1
+            span = frozenset(span_rows(ext))
+            assert base <= span
+            assert span not in seen  # distinct groups, not just classes
+            seen.add(span)
+
+
+def test_extension_work_counts(monkeypatch):
+    # one class_key per orbit of extensions, plus one for the trivial group
+    calls = []
+    monkeypatch.setattr(
+        search, "class_key", lambda g: calls.append(g) or class_key(g)
+    )
+    for n, want in ((4, 90), (5, 445)):
+        calls.clear()
+        enumerate_classes(n)
+        assert len(calls) == want, n
 
 
 def test_extend_maximal_group_rejected():

@@ -21,6 +21,24 @@ def random_stab_group(n: int, r: int, rng) -> StabGroup:
     return StabGroup(n, BitMatrix(2 * n, rows))
 
 
+def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """Matrix product over GF(2), the oracle for rref's row transform; row
+    i of the result is XOR of b-rows selected by the set bits of a's row i."""
+    if a.ncols != b.nrows:
+        raise ValueError("inner dimensions disagree")
+    out = []
+    for ra in a.rows:
+        acc = 0
+        j = 0
+        while ra:
+            if ra & 1:
+                acc ^= b.rows[j]
+            ra >>= 1
+            j += 1
+        out.append(acc)
+    return BitMatrix(b.ncols, out)
+
+
 def packed_weight(row: int, n: int) -> int:
     mask = (1 << n) - 1
     return ((row | (row >> n)) & mask).bit_count()
