@@ -14,10 +14,10 @@ pattern, so the white action determines everything).
 The canonical labeler is a small individualization-refinement search:
 equitable refinement of ordered partitions, branching on the first smallest
 non-singleton cell, leaf certificates compared to keep a canonical image,
-discovered automorphisms pruning sibling branches orbit-wise.  Group orders
-come from a stabilizer chain over the discovered generators; correctness of
-the whole pipeline is certified independently by the exact counting
-identity in the verify module.
+discovered automorphisms pruning sibling branches orbit-wise.  The same
+search reads off the group order, as a product of orbit sizes along its
+first path; correctness of the whole pipeline is certified independently by
+the exact counting identity in the verify module.
 """
 
 from __future__ import annotations
@@ -129,228 +129,115 @@ def build_code_graph(g: StabGroup) -> ColoredGraph:
 
 
 class _Partition:
-    """An ordered partition of 0..V-1 into cells, supporting refinement.
+    """An ordered partition of 0..V-1 into cells, stored flat.
 
-    Cells carry stable integer ids; seq lists ids in partition order.  When
-    a cell splits, the first fragment keeps the id and the rest are
-    inserted immediately after it, so relative order is preserved.
+    order lists the vertices in partition order and each cell is a run of
+    positions, named by its first position: start[v] names v's cell and
+    end[s] is one past the last position of the cell named s.  A split
+    keeps every fragment's vertices in their relative order and keeps the
+    first fragment in place, under the cell's name.
     """
 
-    __slots__ = ("cells", "seq", "cell_of", "nbig", "next_id")
+    __slots__ = ("order", "start", "end", "nbig")
 
     def __init__(self, groups):
-        self.cells = {}
-        self.seq = []
+        self.order = []
+        self.start = [0] * sum(len(c) for c in groups)
+        self.end = [0] * len(self.start)
         self.nbig = 0
-        total = sum(len(c) for c in groups)
-        self.cell_of = [0] * total
-        for i, cell in enumerate(groups):
-            self.cells[i] = list(cell)
-            self.seq.append(i)
+        for cell in groups:
+            s = len(self.order)
+            self.order.extend(cell)
             for v in cell:
-                self.cell_of[v] = i
+                self.start[v] = s
+            self.end[s] = len(self.order)
             if len(cell) > 1:
                 self.nbig += 1
-        self.next_id = len(groups)
 
     def copy(self) -> "_Partition":
         p = _Partition.__new__(_Partition)
-        p.cells = {cid: list(cell) for cid, cell in self.cells.items()}
-        p.seq = list(self.seq)
-        p.cell_of = list(self.cell_of)
+        p.order = self.order[:]
+        p.start = self.start[:]
+        p.end = self.end[:]
         p.nbig = self.nbig
-        p.next_id = self.next_id
         return p
 
     def labeling(self) -> list[int]:
         """vertex -> position, defined only when all cells are singletons."""
-        lab = [0] * len(self.cell_of)
-        pos = 0
-        for cid in self.seq:
-            lab[self.cells[cid][0]] = pos
-            pos += 1
+        lab = [0] * len(self.order)
+        for pos, v in enumerate(self.order):
+            lab[v] = pos
         return lab
 
     def target_cell(self):
-        """Id of the first smallest cell with more than one vertex."""
+        """Name of the first smallest cell with more than one vertex."""
+        end = self.end
         best = None
-        best_len = None
-        for cid in self.seq:
-            ln = len(self.cells[cid])
-            if ln > 1 and (best is None or ln < best_len):
-                best, best_len = cid, ln
+        best_len = len(end) + 1
+        s = 0
+        while s < len(end) and best_len > 2:
+            ln = end[s] - s
+            if 1 < ln < best_len:
+                best, best_len = s, ln
+            s = end[s]
         return best
 
     def individualize(self, v: int):
-        """Split v out to the front of its cell; returns the two cell ids."""
-        cid = self.cell_of[v]
-        cell = self.cells[cid]
-        rest = [u for u in cell if u != v]
-        nid = self.next_id
-        self.next_id += 1
-        self.cells[cid] = rest
-        self.cells[nid] = [v]
-        self.cell_of[v] = nid
-        idx = self.seq.index(cid)
-        self.seq.insert(idx, nid)
+        """Split v out to the front of its cell; returns the two cell names."""
+        s = self.start[v]
+        e = self.end[s]
+        rest = [u for u in self.order[s:e] if u != v]
+        self.order[s] = v
+        self.order[s + 1 : e] = rest
+        for u in rest:
+            self.start[u] = s + 1
+        self.end[s] = s + 1
+        self.end[s + 1] = e
         if len(rest) == 1:
             self.nbig -= 1
-        return nid, cid
+        return s, s + 1
 
     def refine(self, adj, worklist):
         """Equitable refinement against the worklist cells (and successors)."""
+        order, start, end = self.order, self.start, self.end
         queue = deque(worklist)
         inq = set(queue)
         while queue:
             w = queue.popleft()
             inq.discard(w)
             cnt = {}
-            for u in self.cells[w]:
+            for u in order[w : end[w]]:
                 for nb in adj[u]:
                     cnt[nb] = cnt.get(nb, 0) + 1
-            touched = set()
-            for nb in cnt:
-                cid = self.cell_of[nb]
-                if len(self.cells[cid]) > 1:
-                    touched.add(cid)
-            if not touched:
-                continue
-            for cid in [c for c in self.seq if c in touched]:
-                cell = self.cells[cid]
+            touched = {start[nb] for nb in cnt}
+            for s in sorted(touched):
+                e = end[s]
+                if e - s == 1:
+                    continue
                 groups = {}
-                for v in cell:
+                for v in order[s:e]:
                     groups.setdefault(cnt.get(v, 0), []).append(v)
                 if len(groups) == 1:
                     continue
                 parts = [groups[key] for key in sorted(groups)]
-                self.cells[cid] = parts[0]
-                idx = self.seq.index(cid)
-                new_ids = []
-                for p in parts[1:]:
-                    nid = self.next_id
-                    self.next_id += 1
-                    self.cells[nid] = p
-                    for v in p:
-                        self.cell_of[v] = nid
-                    new_ids.append(nid)
-                self.seq[idx + 1 : idx + 1] = new_ids
-                self.nbig -= 1
-                self.nbig += sum(1 for p in parts if len(p) > 1)
-                all_ids = [cid] + new_ids
-                if cid in inq:
-                    for nid in new_ids:
-                        queue.append(nid)
-                        inq.add(nid)
+                order[s:e] = [v for p in parts for v in p]
+                names = []
+                pos = s
+                for p in parts:
+                    if pos != s:
+                        for v in p:
+                            start[v] = pos
+                    names.append(pos)
+                    end[pos] = pos + len(p)
+                    pos += len(p)
+                self.nbig += sum(1 for p in parts if len(p) > 1) - 1
+                if s in inq:
+                    fresh = names[1:]
                 else:
                     largest = max(range(len(parts)), key=lambda i: len(parts[i]))
-                    for i, aid in enumerate(all_ids):
-                        if i != largest:
-                            queue.append(aid)
-                            inq.add(aid)
-
-
-# --- permutation helpers and stabilizer chains ---
-
-
-def _perm_mul(a, b):
-    """Apply b first, then a."""
-    return tuple(a[i] for i in b)
-
-
-def _perm_inv(a):
-    inv = [0] * len(a)
-    for i, ai in enumerate(a):
-        inv[ai] = i
-    return tuple(inv)
-
-
-def _perm_group_order(gens, npoints: int) -> int:
-    """Exact order of the permutation group generated by gens.
-
-    Builds a stabilizer chain and then verifies the Schreier condition at
-    every level, sifting any residue back in until a fixpoint; the order is
-    the product of the transversal sizes of the verified chain.
-    """
-    ident = tuple(range(npoints))
-    todo = [tuple(g) for g in gens]
-    todo = [g for g in dict.fromkeys(todo) if g != ident]
-    if not todo:
-        return 1
-
-    base: list[int] = []
-    level_gens: list[list] = []
-    trans: list[dict] = []
-
-    def gens_for(level):
-        out = []
-        for lvl in range(level, len(base)):
-            out.extend(level_gens[lvl])
-        return out
-
-    def rebuild_orbit(level):
-        b = base[level]
-        t = {b: ident}
-        frontier = [b]
-        gl = gens_for(level)
-        while frontier:
-            d = frontier.pop()
-            td = t[d]
-            for g in gl:
-                im = g[d]
-                if im not in t:
-                    t[im] = _perm_mul(g, td)
-                    frontier.append(im)
-        trans[level] = t
-
-    def sift(g, start=0):
-        for level in range(start, len(base)):
-            u = trans[level].get(g[base[level]])
-            if u is None:
-                return g, level
-            g = _perm_mul(_perm_inv(u), g)
-        return g, len(base)
-
-    def insert(g, level):
-        if level == len(base):
-            b = next(i for i in range(npoints) if g[i] != i)
-            base.append(b)
-            level_gens.append([])
-            trans.append({})
-        level_gens[level].append(g)
-        for lvl in range(level + 1):
-            rebuild_orbit(lvl)
-
-    for g in todo:
-        residue, level = sift(g)
-        if residue != ident:
-            insert(residue, level)
-
-    # verify Schreier's condition everywhere; re-sift residues until stable
-    stable = False
-    while not stable:
-        stable = True
-        for level in range(len(base)):
-            gl = gens_for(level)
-            for d, td in list(trans[level].items()):
-                for g in gl:
-                    u = trans[level][g[d]]
-                    s = _perm_mul(_perm_inv(u), _perm_mul(g, td))
-                    if s == ident:
-                        continue
-                    residue, lvl = sift(s, level + 1)
-                    if residue != ident:
-                        insert(residue, lvl)
-                        stable = False
-                        break
-                if not stable:
-                    break
-            if not stable:
-                break
-
-    order = 1
-    for t in trans:
-        order *= len(t)
-    return order
+                    fresh = names[:largest] + names[largest + 1 :]
+                queue.extend(fresh)
+                inq.update(fresh)
 
 
 # --- individualization-refinement canonical labeling ---
@@ -368,19 +255,29 @@ def _leaf_cert(edges, lab):
 
 
 def _canonical_search(gph: ColoredGraph):
-    """Returns (best labeling, automorphism generators)."""
+    """Returns (best labeling, automorphism generators, automorphism order).
+
+    The order is read off the search tree (McKay & Piperno, "Practical
+    graph isomorphism II", 2014).  At each node of the first path, once its
+    subtree is done, the generators found that fix the node's individualized
+    vertices generate the node's whole stabilizer; the first child's orbit
+    in the target cell is then the index of the child's stabilizer in it,
+    so |Aut| is the product of those orbit sizes along the first path.
+    """
     adj = gph.adj
     edges = gph.edges
     nverts = gph.nverts
     by_color = {}
     for v, c in enumerate(gph.colors):
         by_color.setdefault(c, []).append(v)
-    root = _Partition([by_color[c] for c in sorted(by_color)])
-    root.refine(adj, list(root.seq))
+    cells = [by_color[c] for c in sorted(by_color)]
+    root = _Partition(cells)
+    root.refine(adj, [root.start[cell[0]] for cell in cells])
 
     state = {"first": None, "first_lab": None, "best": None, "best_lab": None}
     gens: list[tuple] = []
     gen_seen: set[tuple] = set()
+    size = 1
 
     def record_aut(lab_a, lab_b):
         # lab_a and lab_b index the same canonical image: their quotient is
@@ -394,6 +291,7 @@ def _canonical_search(gph: ColoredGraph):
             gens.append(perm)
 
     def explore(part, fixed):
+        nonlocal size
         if part.nbig == 0:
             lab = part.labeling()
             cert = _leaf_cert(edges, lab)
@@ -411,11 +309,14 @@ def _canonical_search(gph: ColoredGraph):
             elif cert == state["best"] and cert != state["first"]:
                 record_aut(state["best_lab"], lab)
             return
-        tcid = part.target_cell()
-        candidates = list(part.cells[tcid])
+        first_path = state["first"] is None  # no leaf reached yet
+        s = part.target_cell()
+        candidates = part.order[s : part.end[s]]
         explored = []
-        uf = None
-        uf_gen_count = -1
+        # orbits on the target cell of the generators that fix this node's
+        # individualized vertices (such generators map the cell onto itself)
+        uf = {v: v for v in candidates}
+        merged = 0
 
         def find(x):
             while uf[x] != x:
@@ -423,29 +324,32 @@ def _canonical_search(gph: ColoredGraph):
                 x = uf[x]
             return x
 
+        def merge_new_gens():
+            nonlocal merged
+            for g in gens[merged:]:
+                if all(g[f] == f for f in fixed):
+                    for w in candidates:
+                        a, b = find(w), find(g[w])
+                        if a != b:
+                            uf[a] = b
+            merged = len(gens)
+
         for v in candidates:
             if explored:
-                if uf_gen_count != len(gens):
-                    usable = [
-                        g for g in gens if all(g[f] == f for f in fixed)
-                    ]
-                    uf = list(range(nverts))
-                    for g in usable:
-                        for w in range(nverts):
-                            a, b = find(w), find(g[w])
-                            if a != b:
-                                uf[a] = b
-                    uf_gen_count = len(gens)
+                merge_new_gens()
                 if any(find(v) == find(u) for u in explored):
                     continue
             child = part.copy()
-            nid, cid = child.individualize(v)
-            child.refine(adj, [nid, cid])
+            child.refine(adj, child.individualize(v))
             explore(child, fixed + (v,))
             explored.append(v)
+        if first_path:
+            merge_new_gens()
+            root_v = find(candidates[0])
+            size *= sum(1 for u in candidates if find(u) == root_v)
 
     explore(root, ())
-    return state["best_lab"], gens
+    return state["best_lab"], gens, size
 
 
 def _serialize(gph: ColoredGraph, lab) -> bytes:
@@ -467,15 +371,14 @@ def canonical_form(gph: ColoredGraph) -> tuple[CanonicalKey, AutInfo]:
     The key is invariant under every color-preserving relabeling: equal
     keys exactly for isomorphic colored graphs.
     """
-    lab, gens = _canonical_search(gph)
-    key = _serialize(gph, lab)
-    return key, AutInfo(_perm_group_order(gens, gph.nverts), tuple(gens))
+    lab, gens, size = _canonical_search(gph)
+    return _serialize(gph, lab), AutInfo(size, tuple(gens))
 
 
 def class_key(g: StabGroup) -> CanonicalKey:
     """Equivalence-class identifier: equal exactly for equivalent groups."""
     gph = build_code_graph(g)
-    lab, _ = _canonical_search(gph)
+    lab, _, _ = _canonical_search(gph)
     return _serialize(gph, lab)
 
 
@@ -513,7 +416,7 @@ def automorphisms(g: StabGroup) -> tuple[LCPerm, ...]:
     They are the code graph's automorphism generators found by the
     canonical search, decoded through their action on the qubit triangles.
     """
-    _, gens = _canonical_search(build_code_graph(g))
+    _, gens, _ = _canonical_search(build_code_graph(g))
     t = 1 << g.r
     return tuple(_lcperm_of_vertex_map(perm, g.n, t) for perm in gens)
 
@@ -539,8 +442,8 @@ def are_equivalent(a: StabGroup, b: StabGroup, witness: bool = False):
     if a.r != b.r:
         return False, None
     ga, gb = build_code_graph(a), build_code_graph(b)
-    lab_a, _ = _canonical_search(ga)
-    lab_b, _ = _canonical_search(gb)
+    lab_a, _, _ = _canonical_search(ga)
+    lab_b, _, _ = _canonical_search(gb)
     if _serialize(ga, lab_a) != _serialize(gb, lab_b):
         return False, None
     w = _witness_from_labelings(a, lab_a, lab_b)

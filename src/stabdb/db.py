@@ -133,11 +133,12 @@ def invariants(g: StabGroup) -> dict:
     """Every stored invariant except the canonical key and |Aut|, keyed by
     record field name; records and ``stabdb props`` both read this table."""
     report = decompose(g)
+    d = distance(g)
     return {
-        "d": distance(g),
+        "d": d,
         "is_css": css_rank_test(g) or css_representative(g) is not None,
         "is_decomposable": report.decomposable,
-        "is_degenerate": is_degenerate(g),
+        "is_degenerate": is_degenerate(g, d),
         "is_gf4linear": gf4_representative(g) is not None,
         "is_even": is_even(g),
         "length": report.length,

@@ -37,6 +37,11 @@ __all__ = [
     "decompose",
 ]
 
+# The distance search walks 2^(2k + r) operators; like span_rows' 2^18
+# guard, this one bounds the work on user input and admits every group on
+# up to 12 qubits.
+DISTANCE_MAX_BITS = 24
+
 
 @dataclass(frozen=True)
 class WeightEnum:
@@ -100,12 +105,18 @@ def distance(g: StabGroup) -> int:
 
     For k > 0 this is the minimum weight over operators commuting with the
     group but outside it; for k = 0 the minimum nonzero weight inside the
-    group; the trivial group gets distance 1.
+    group; the trivial group gets distance 1.  Raises ValueError when the
+    search would walk more than 2^DISTANCE_MAX_BITS operators.
     """
     n = g.n
     mask = (1 << n) - 1
     if g.r == 0:
         return 1
+    bits = 2 * g.k + g.r
+    if bits > DISTANCE_MAX_BITS:
+        raise ValueError(
+            f"distance search over 2^{bits} operators exceeds the enumeration guard"
+        )
     span = span_rows(g)
     if g.k == 0:
         return min(_weight(row, n, mask) for row in span if row)
@@ -121,17 +132,18 @@ def distance(g: StabGroup) -> int:
     return best
 
 
-def is_degenerate(g: StabGroup) -> bool:
+def is_degenerate(g: StabGroup, d: int | None = None) -> bool:
     """Whether some nonidentity group element weighs less than the distance.
 
-    Only defined meaningfully for k > 0; k = 0 returns False.
+    Only defined meaningfully for k > 0; k = 0 returns False.  A caller that
+    already knows the distance passes it as d to skip the search.
     """
     if g.k == 0 or g.r == 0:
         return False
     n = g.n
     mask = (1 << n) - 1
     min_stab = min(_weight(row, n, mask) for row in span_rows(g) if row)
-    return min_stab < distance(g)
+    return min_stab < (distance(g) if d is None else d)
 
 
 def is_even(g: StabGroup) -> bool:

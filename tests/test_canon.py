@@ -8,7 +8,6 @@ import pytest
 
 from stabdb.canon import (
     ColoredGraph,
-    _perm_group_order,
     are_equivalent,
     aut_size,
     automorphisms,
@@ -26,7 +25,7 @@ from stabdb.transform import (
     apply_lcperm,
     random_lcperm,
 )
-from util import random_stab_group
+from util import closure_order, random_stab_group
 
 
 def group(*strings, n=None):
@@ -140,6 +139,73 @@ class TestCanonicalForm:
                 assert (min(a, b), max(a, b)) in es
 
 
+def _count_automorphisms(gph: ColoredGraph) -> int:
+    """Color- and edge-preserving vertex permutations, counted by extending
+    partial maps one vertex at a time (exponential oracle)."""
+    nv = gph.nverts
+    adj = [set(a) for a in gph.adj]
+    image = []
+
+    def extend():
+        v = len(image)
+        if v == nv:
+            return 1
+        total = 0
+        for w in range(nv):
+            if w in image or gph.colors[w] != gph.colors[v]:
+                continue
+            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                total += extend()
+                image.pop()
+        return total
+
+    return extend()
+
+
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+class TestAutOrder:
+    @pytest.mark.parametrize(
+        "nverts,edges,expect",
+        [
+            (6, _cycle(6), 12),
+            (6, [(i, j) for i in range(3) for j in range(3, 6)], 72),
+            (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 72),
+            (
+                10,
+                _cycle(5)
+                + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+                120,
+            ),
+            (8, [], 40320),
+        ],
+        ids=["C6", "K33", "two_triangles", "petersen", "isolated8"],
+    )
+    def test_known_graphs(self, nverts, edges, expect):
+        gph = ColoredGraph(nverts, [1] * nverts, edges)
+        assert _count_automorphisms(gph) == expect
+        assert canonical_form(gph)[1].size == expect
+
+    def test_random_colored_graphs(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            nv = rng.randrange(1, 8)
+            density = rng.random()
+            edges = [
+                (u, v)
+                for u in range(nv)
+                for v in range(u + 1, nv)
+                if rng.random() < density
+            ]
+            colors = [rng.choice([1, 2]) for _ in range(nv)]
+            gph = ColoredGraph(nv, colors, edges)
+            assert canonical_form(gph)[1].size == _count_automorphisms(gph)
+
+
 class TestKnownAutSizes:
     @pytest.mark.parametrize(
         "strings,n,expect",
@@ -206,7 +272,7 @@ class TestAutomorphisms:
     def test_generators_give_aut_size(self, class_reps):
         for g in class_reps:
             points = [_letter_point_perm(a) for a in automorphisms(g)]
-            assert _perm_group_order(points, 3 * g.n) == aut_size(g)
+            assert closure_order(points, 3 * g.n) == aut_size(g)
 
 
 class TestClassKey:

@@ -203,6 +203,11 @@ def test_input_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_props_oversized_group_exits_2(capsys):
+    assert main(["props", "--gens", "X" * 20]) == 2
+    assert "enumeration guard" in capsys.readouterr().err
+
+
 def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):
     for path in cli_db.glob("*.jsonl"):
         shutil.copy(path, tmp_path / path.name)

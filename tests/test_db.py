@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from stabdb import db, properties
 from stabdb.canon import class_key
 from stabdb.db import (
     CodeRecord,
@@ -57,6 +58,21 @@ def test_five_qubit_record():
     assert not rec.is_css and not rec.is_decomposable and not rec.is_degenerate
     assert rec.length == 1
     assert bytes.fromhex(rec.canonical_key) == class_key(rec.group())
+
+
+def test_record_runs_distance_once(monkeypatch):
+    calls = []
+    for module in (db, properties):
+        inner = module.distance
+
+        def counted(g, inner=inner):
+            calls.append(g)
+            return inner(g)
+
+        monkeypatch.setattr(module, "distance", counted)
+    rec = record_from_group(StabGroup.from_strings(FIVE_QUBIT, 5), 0)
+    assert rec.d == 3
+    assert len(calls) == 1
 
 
 def test_record_json_shape():

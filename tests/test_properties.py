@@ -4,6 +4,8 @@ brute-force oracles, and transformation invariance."""
 import itertools
 import random
 
+import pytest
+
 from stabdb.canon import aut_size, class_key
 from stabdb.pauli import StabGroup, parse_pauli, symplectic_product
 from stabdb.properties import (
@@ -87,6 +89,15 @@ def test_distance_brute_force_small():
         cases.append(random_stab_group(n, rng.randint(0, n), rng))
     for g in cases:
         assert distance(g) == brute_distance(g)
+
+
+def test_distance_search_is_bounded():
+    # 2k + r = 25 > 24: one generator on 13 qubits leaves 2^24 cosets
+    g = StabGroup.from_strings(["Z" * 13])
+    with pytest.raises(ValueError, match="enumeration guard"):
+        distance(g)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        is_degenerate(g)
 
 
 def test_degeneracy_examples():

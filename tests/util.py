@@ -39,6 +39,24 @@ def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(b.ncols, out)
 
 
+def closure_order(gens, npoints: int) -> int:
+    """Order of the permutation group the gens generate, by a breadth-first
+    closure over their products (an exponential oracle for small groups)."""
+    identity = tuple(range(npoints))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[i] for i in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
 def packed_weight(row: int, n: int) -> int:
     mask = (1 << n) - 1
     return ((row | (row >> n)) & mask).bit_count()
