@@ -94,21 +94,14 @@ def _cmd_props(args) -> int:
     else:
         text = args.gens
     g = _parse_gens(text)
-    inv = invariants(g)
     print(f"n: {g.n}")
     print(f"k: {g.k}")
-    for name in (
-        "d",
-        "length",
-        "is_css",
-        "is_decomposable",
-        "is_degenerate",
-        "is_gf4linear",
-        "is_even",
-    ):
-        print(f"{name}: {str(inv[name]).lower()}")
-    wenum = WeightEnum(tuple(inv["weight_enumerator"]))
-    print(f"weight_enumerator: {wenum.polynomial()}")
+    for name, value in invariants(g).items():
+        if name == "weight_enumerator":
+            shown = WeightEnum(tuple(value)).polynomial()
+        else:
+            shown = str(value).lower()
+        print(f"{name}: {shown}")
     return 0
 
 
@@ -121,18 +114,16 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    filters = {}
-    for name in ("n", "k", "d", "index"):
-        value = getattr(args, name)
-        if value is not None:
-            filters[name] = value
-    if args.css:
-        filters["is_css"] = True
-    if args.gf4:
-        filters["is_gf4linear"] = True
-    if args.indecomposable:
-        filters["is_decomposable"] = False
-    q = Query.from_filters(info_only=args.info_only, **filters)
+    q = Query(
+        n=args.n,
+        k=args.k,
+        d=args.d,
+        index=args.index,
+        is_css=True if args.css else None,
+        is_gf4linear=True if args.gf4 else None,
+        is_decomposable=False if args.indecomposable else None,
+        info_only=args.info_only,
+    )
     for rec in query(Database(args.db), q):
         print(rec.to_json())
     return 0

@@ -9,6 +9,7 @@ diffs are line diffs.
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin
 
 from .canon import build_code_graph, canonical_form
 from .pauli import StabGroup
@@ -23,33 +24,21 @@ from .properties import (
     weight_enumerator,
 )
 
-_FIELD_ORDER = (
-    "n",
-    "k",
-    "d",
-    "index",
-    "generators",
-    "aut_group_size",
-    "is_css",
-    "is_decomposable",
-    "is_degenerate",
-    "is_gf4linear",
-    "is_even",
-    "length",
-    "weight_enumerator",
-    "canonical_key",
-)
-
 
 @dataclass
 class CodeRecord:
-    """One class: parameters, a representative, and its invariants."""
+    """One class: parameters, a representative, and its invariants.
+
+    The field list is the record schema: its order is the JSON key order
+    and its types are checked on every read (bool is not int, and list
+    fields are checked entry by entry).
+    """
 
     n: int
     k: int
     d: int
     index: int
-    generators: list
+    generators: list[str]
     aut_group_size: str
     is_css: bool
     is_decomposable: bool
@@ -57,45 +46,17 @@ class CodeRecord:
     is_gf4linear: bool
     is_even: bool
     length: int
-    weight_enumerator: list
+    weight_enumerator: list[int]
     canonical_key: str
 
     def group(self) -> StabGroup:
         return StabGroup.from_strings(self.generators, self.n)
 
-    def _check_types(self):
-        """Raise unless every field has its declared type (bool is not int).
-
-        One chained test keeps the cost per record read well below that of
-        parsing the line; only a failing record pays to name its fields.
-        """
-        if (
-            type(self.n) is int
-            and type(self.k) is int
-            and type(self.d) is int
-            and type(self.index) is int
-            and type(self.generators) is list
-            and type(self.aut_group_size) is str
-            and type(self.is_css) is bool
-            and type(self.is_decomposable) is bool
-            and type(self.is_degenerate) is bool
-            and type(self.is_gf4linear) is bool
-            and type(self.is_even) is bool
-            and type(self.length) is int
-            and type(self.weight_enumerator) is list
-            and type(self.canonical_key) is str
-        ):
-            return
-        bad = [
-            f.name for f in fields(self) if type(getattr(self, f.name)) is not f.type
-        ]
-        raise ValueError(f"wrong type for field(s) {', '.join(bad)}")
-
     def validate(self):
         """Check types and internal consistency; raises naming the record."""
         where = f"record (n={self.n}, k={self.k}, index={self.index})"
         try:
-            self._check_types()
+            _check_types(vars(self))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         try:
@@ -124,24 +85,49 @@ class CodeRecord:
         obj = json.loads(line)
         if tuple(obj) != _FIELD_ORDER:
             raise ValueError("unexpected record fields")
-        rec = cls(**obj)
-        rec._check_types()
+        _check_types(obj)
+        # The checked mapping holds every field in order, so it becomes the
+        # record's attribute dict as is: reads are the db layer's hot path.
+        rec = cls.__new__(cls)
+        rec.__dict__ = obj
         return rec
+
+
+# (name, value type, entry type of a list field or None), in JSON key order
+_SCHEMA = tuple(
+    (f.name, get_origin(f.type) or f.type, next(iter(get_args(f.type)), None))
+    for f in fields(CodeRecord)
+)
+_FIELD_ORDER = tuple(name for name, _, _ in _SCHEMA)
+
+
+def _check_types(values: dict):
+    """Raise unless every field value in the record mapping has its schema
+    type (bool is not int), naming each field that does not."""
+    bad = [
+        name
+        for name, t, entry in _SCHEMA
+        if type(values[name]) is not t
+        or (entry and any(type(v) is not entry for v in values[name]))
+    ]
+    if bad:
+        raise ValueError(f"wrong type for field(s) {', '.join(bad)}")
 
 
 def invariants(g: StabGroup) -> dict:
     """Every stored invariant except the canonical key and |Aut|, keyed by
-    record field name; records and ``stabdb props`` both read this table."""
+    record field name in the order ``stabdb props`` prints them; records and
+    ``stabdb props`` both read this table."""
     report = decompose(g)
     d = distance(g)
     return {
         "d": d,
+        "length": report.length,
         "is_css": css_rank_test(g) or css_representative(g) is not None,
         "is_decomposable": report.decomposable,
         "is_degenerate": is_degenerate(g, d),
         "is_gf4linear": gf4_representative(g) is not None,
         "is_even": is_even(g),
-        "length": report.length,
         "weight_enumerator": list(weight_enumerator(g).coeffs),
     }
 
@@ -232,54 +218,36 @@ class Database:
         return self._cache[(n, k)]
 
 
-_QUERY_FILTERS = _FIELD_ORDER
-
-
-@dataclass
 class Query:
-    """Conjunctive filters over record fields; None means no constraint.
+    """Conjunctive equality filters over record fields, by field name; a
+    filter given as None is not set.
 
     info_only skips the generator re-parse validation of each hit.
     """
 
-    n: int = None
-    k: int = None
-    d: int = None
-    index: int = None
-    generators: list = None
-    aut_group_size: str = None
-    is_css: bool = None
-    is_decomposable: bool = None
-    is_degenerate: bool = None
-    is_gf4linear: bool = None
-    is_even: bool = None
-    length: int = None
-    weight_enumerator: list = None
-    canonical_key: str = None
-    info_only: bool = False
+    def __init__(self, *, info_only: bool = False, **filters):
+        bad = set(filters) - set(_FIELD_ORDER)
+        if bad:
+            raise ValueError(f"unrecognized filter names: {sorted(bad)}")
+        self.filters = {
+            name: value for name, value in filters.items() if value is not None
+        }
+        self.info_only = info_only
 
     @classmethod
     def from_filters(cls, **filters) -> "Query":
-        bad = set(filters) - {f.name for f in fields(cls)}
-        if bad:
-            raise ValueError(f"unrecognized filter names: {sorted(bad)}")
         return cls(**filters)
 
 
 def query(db: Database, q: Query) -> list:
     """Matching records across all cells, in (n, k, index) order."""
+    want = q.filters
     hits = []
     for n, k in db.cells():
-        if q.n is not None and n != q.n:
-            continue
-        if q.k is not None and k != q.k:
+        if want.get("n", n) != n or want.get("k", k) != k:
             continue
         for rec in db.records(n, k):
-            if all(
-                getattr(q, name) is None
-                or getattr(rec, name) == getattr(q, name)
-                for name in _QUERY_FILTERS
-            ):
+            if all(getattr(rec, name) == value for name, value in want.items()):
                 if not q.info_only:
                     rec.validate()
                 hits.append(rec)

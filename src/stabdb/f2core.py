@@ -90,14 +90,6 @@ class BitMatrix:
             if r < 0 or r >> ncols:
                 raise ValueError(f"row 0x{r:x} does not fit in {ncols} columns")
 
-    @classmethod
-    def from_rows(cls, bitvecs) -> "BitMatrix":
-        bitvecs = list(bitvecs)
-        if not bitvecs:
-            raise ValueError("cannot infer ncols from an empty row list")
-        n = bitvecs[0].n
-        return cls(n, [v.bits for v in bitvecs])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -145,22 +137,23 @@ def _rank_of_rows(rows) -> int:
     return r
 
 
-def rref(m: BitMatrix):
+def rref(m: BitMatrix, columns=None):
     """Reduced row-echelon form with the row transform that produces it.
 
     Returns ``(reduced, pivots, transform)`` where ``transform`` is an
     invertible nrows x nrows matrix with ``transform @ m = reduced`` over
-    GF(2), ``pivots`` lists pivot column indices in strictly increasing
-    order, and zero rows sit at the bottom of ``reduced``.  Pivot choice is
-    leftmost nonzero column, topmost candidate row, so the output is
-    deterministic.
+    GF(2) and rows without a pivot sit at the bottom of ``reduced``.
+    Pivots are sought along ``columns``, by default every column left to
+    right; rows are eliminated in full, but an unlisted column never
+    pivots.  ``pivots`` lists the pivot columns in that order, each taking
+    the topmost candidate row, so the output is deterministic.
     """
     rows = list(m.rows)
     nr = len(rows)
     trans = [1 << i for i in range(nr)]
     pivots = []
     r = 0
-    for c in range(m.ncols):
+    for c in range(m.ncols) if columns is None else columns:
         pivot_row = None
         for i in range(r, nr):
             if (rows[i] >> c) & 1:

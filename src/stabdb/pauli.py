@@ -153,13 +153,15 @@ class StabGroup:
 
     @classmethod
     def from_strings(cls, strings, n: int | None = None) -> "StabGroup":
-        ops = [parse_pauli(s, n) for s in strings]
-        if not ops:
-            if n is None:
+        """Parse generator strings; n defaults to the first string's length
+        and every string must have exactly n letters."""
+        strings = list(strings)
+        if n is None:
+            if not strings:
                 raise ValueError("cannot infer qubit count from an empty list")
-            return cls(n, BitMatrix(2 * n, []))
-        m = ops[0].n
-        return cls(m, BitMatrix(2 * m, [p.packed() for p in ops]))
+            n = len(strings[0])
+        ops = [parse_pauli(s, n) for s in strings]
+        return cls(n, BitMatrix(2 * n, [p.packed() for p in ops]))
 
     @property
     def r(self) -> int:

@@ -9,7 +9,6 @@ with random symmetries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref
@@ -17,7 +16,9 @@ from .pauli import StabGroup, logical_rows, span_rows
 from .transform import (
     _NEWX_SRC,
     _NEWZ_SRC,
+    LETTER_NAMES,
     LocalClifford,
+    _letter_rows,
     apply_local_clifford,
     apply_perm,
     rsf,
@@ -41,6 +42,8 @@ __all__ = [
 # guard, this one bounds the work on user input and admits every group on
 # up to 12 qubits.
 DISTANCE_MAX_BITS = 24
+
+_CYCLE = LETTER_NAMES.index("R")  # X -> Y -> Z -> X
 
 
 @dataclass(frozen=True)
@@ -234,24 +237,15 @@ def css_representative(g: StabGroup):
 
 
 def gf4_linear_test(g: StabGroup) -> bool:
-    """Whether the global letter cycle X->Y->Z->X maps the group to itself.
+    """Whether the global letter cycle X->Y->Z->X maps the group to itself,
+    that is, whether the all-identity pattern solves gf4_representative's
+    system.
 
     The trivial group is reported as not linear: it carries no nonzero
     vectors over GF(4).
     """
-    if g.r == 0:
-        return False
-    n = g.n
-    mask = (1 << n) - 1
-    reduced, pivots, _ = rref(g.gens)
-    srows = reduced.rows[: len(pivots)]
-    for row in g.gens.rows:
-        x = row & mask
-        z = row >> n
-        image = (x ^ z) | (x << n)
-        if reduce_row(srows, pivots, image):
-            return False
-    return True
+    w = gf4_representative(g)
+    return w is not None and w.is_identity()
 
 
 def gf4_representative(g: StabGroup):
@@ -259,37 +253,44 @@ def gf4_representative(g: StabGroup):
 
     Conjugating the global letter cycle by a per-qubit permutation flips it
     to the inverse cycle exactly on qubits where the permutation is odd, so
-    only the per-qubit parity pattern matters; the lexicographically first
-    witness of the full 6^n sweep is therefore the I/H vector of the first
-    passing parity pattern.  Groups with n - k odd can never pass and are
-    rejected immediately.
+    only the per-qubit parity pattern p matters, and the lexicographically
+    first witness of the full 6^n sweep is the I/H vector of the first
+    passing pattern (qubit 0 most significant).  On one qubit the inverse
+    cycle is the cycle plus the identity, so p passes exactly when
+    cycle(s) + sum_j p_j (s on qubit j) reduces to 0 modulo the group for
+    every generator s: one GF(2) linear system in p.  Groups with n - k odd
+    can never pass and are rejected immediately.
     """
     n = g.n
     if g.r % 2 == 1 or g.r == 0:
         return None
-    mask = (1 << n) - 1
     reduced, pivots, _ = rref(g.gens)
     srows = reduced.rows[: len(pivots)]
-    for pattern in itertools.product((0, 1), repeat=n):
-        m_cycle = 0
-        m_inv = 0
-        for j, p in enumerate(pattern):
-            if p:
-                m_inv |= 1 << j
-            else:
-                m_cycle |= 1 << j
-        ok = True
-        for row in g.gens.rows:
-            x = row & mask
-            z = row >> n
-            nx = ((x ^ z) & m_cycle) | (z & m_inv)
-            nz = (x & m_cycle) | ((x ^ z) & m_inv)
-            if reduce_row(srows, pivots, nx | (nz << n)):
-                ok = False
-                break
-        if ok:
-            return LocalClifford(pattern)
-    return None
+    cycled = _letter_rows(g.gens.rows, n, (_CYCLE,) * n)
+    # one equation per generator and residue bit: p_j at bit j, the
+    # right-hand side at bit n
+    equations = []
+    for row, image in zip(g.gens.rows, cycled):
+        target = reduce_row(srows, pivots, image)
+        parts = [
+            reduce_row(srows, pivots, row & (1 << j | 1 << (n + j)))
+            for j in range(n)
+        ]
+        for bit in range(2 * n):
+            eq = ((target >> bit) & 1) << n
+            for j, part in enumerate(parts):
+                eq |= ((part >> bit) & 1) << j
+            if eq:
+                equations.append(eq)
+    # Pivots taken from the last qubit down leave each kernel vector's
+    # lowest bit free, so the solution with every free bit 0 is the first.
+    solved, p_pivots, _ = rref(BitMatrix(n + 1, equations), range(n - 1, -1, -1))
+    if any(solved.rows[len(p_pivots):]):
+        return None
+    pattern = [0] * n
+    for row, j in zip(solved.rows, p_pivots):
+        pattern[j] = row >> n
+    return LocalClifford(pattern)
 
 
 def decompose(g: StabGroup) -> DecompReport:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .canon import CanonicalKey, automorphisms, class_key
 from .f2core import BitMatrix, kernel, rref
 from .pauli import StabGroup, _sym_packed, logical_rows
-from .transform import apply_perm, lcperm_rows, rsf
+from .transform import LocalClifford, apply_local_clifford, apply_perm, lcperm_rows, rsf
 
 
 @dataclass(frozen=True)
@@ -296,12 +296,13 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
 
     The group is completed to a maximal group with k pairwise commuting
     centralizer representatives; its standard form has X rank r plus
-    pure-Z pivots on every remaining qubit, so a Hadamard layer on the Z
-    pivots makes the X block the identity and a phase layer clears the
-    symmetric Z block's diagonal, leaving graph generators.  The image of
-    the original group under the same relabeling and layers is then a
-    subgroup of the graph group, determined by its exponent vectors (the
-    X parts), and the returned words span their orthogonal complement.
+    pure-Z pivots on every remaining qubit, so a layer of H on the Z
+    pivots makes the X block the identity and a layer of S where Y sits on
+    the diagonal clears the symmetric Z block's diagonal, leaving graph
+    generators.  The image of the original group under the same relabeling
+    and layers is then a subgroup of the graph group, determined by its
+    exponent vectors (the X parts), and the returned words span their
+    orthogonal complement.
 
     cws_to_stabilizer on the result rebuilds exactly that image, a group
     in the same equivalence class as g.
@@ -313,30 +314,20 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
         n, BitMatrix(2 * n, list(g.gens.rows) + logical), validate=False
     )
     res = rsf(full)
-    hmask = (mask >> res.r) << res.r  # pure-Z pivot qubits
-
-    def hadamard_layer(row):
-        x, z = row & mask, row >> n
-        nx = (x & ~hmask) | (z & hmask)
-        nz = (z & ~hmask) | (x & hmask)
-        return nx | (nz << n)
-
-    rows = [hadamard_layer(row) for row in res.matrix.rows]
-    smask = 0  # qubits with Y on the diagonal, cleared by phase gates
-    for j in range(n):
-        if (rows[j] >> (n + j)) & 1:
-            smask |= 1 << j
-
-    def phase_layer(row):
-        return row ^ ((row & smask & mask) << n)
-
-    rows = [phase_layer(row) for row in rows]
-    gph = GraphState(BitMatrix(n, [row >> n for row in rows]))
-    image = [
-        phase_layer(hadamard_layer(row))
-        for row in apply_perm(g, res.perm).gens.rows
-    ]
-    words = kernel(BitMatrix(n, [row & mask for row in image]))
+    h_layer = LocalClifford(["I"] * res.r + ["H"] * (n - res.r))
+    h_form = apply_local_clifford(
+        StabGroup(n, res.matrix, validate=False), h_layer
+    )
+    s_layer = LocalClifford(
+        ["S" if (row >> (n + j)) & 1 else "I"
+         for j, row in enumerate(h_form.gens.rows)]
+    )
+    graph = apply_local_clifford(h_form, s_layer)
+    gph = GraphState(BitMatrix(n, [row >> n for row in graph.gens.rows]))
+    image = apply_local_clifford(
+        apply_local_clifford(apply_perm(g, res.perm), h_layer), s_layer
+    )
+    words = kernel(BitMatrix(n, [row & mask for row in image.gens.rows]))
     return gph, words
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .f2core import BitMatrix
+from .f2core import BitMatrix, rref
 from .pauli import StabGroup
 
 __all__ = [
@@ -331,35 +331,6 @@ class RsfResult:
         return self.matrix.nrows - self.r
 
 
-def _rref_on_bits(rows: list[int], bit_order) -> tuple[list[int], list[int]]:
-    """In-place RREF of packed rows with pivots searched along bit_order.
-
-    Rows are eliminated in full (all bits), but pivots are only chosen at
-    the listed bit positions.  Returns (rows, pivot_bits).
-    """
-    rows = list(rows)
-    nr = len(rows)
-    pivots = []
-    rpos = 0
-    for b in bit_order:
-        pivot_row = None
-        for i in range(rpos, nr):
-            if (rows[i] >> b) & 1:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rpos], rows[pivot_row] = rows[pivot_row], rows[rpos]
-        for i in range(nr):
-            if i != rpos and (rows[i] >> b) & 1:
-                rows[i] ^= rows[rpos]
-        pivots.append(b)
-        rpos += 1
-        if rpos == nr:
-            break
-    return rows, pivots
-
-
 def rsf(g: StabGroup) -> RsfResult:
     """Reduced standard form with a deterministic qubit relabeling.
 
@@ -369,13 +340,14 @@ def rsf(g: StabGroup) -> RsfResult:
     returned as perm.
     """
     n = g.n
-    rows, x_pivots = _rref_on_bits(g.gens.rows, range(n))
-    r = len(x_pivots)
-    p_x = x_pivots
+    top, p_x, _ = rref(g.gens, range(n))
+    r = len(p_x)
     non_px = [j for j in range(n) if j not in p_x]
-    bottom, z_pivot_bits = _rref_on_bits(rows[r:], [n + j for j in non_px])
+    bottom, z_pivot_bits, _ = rref(
+        BitMatrix(2 * n, top.rows[r:]), [n + j for j in non_px]
+    )
     p_z = [b - n for b in z_pivot_bits]
-    rows = rows[:r] + bottom
+    rows = top.rows[:r] + bottom.rows
     # bottom rows are pure Z, so adding them clears top Z entries on the
     # Z-pivot qubits without disturbing any X entry
     for t, b in enumerate(z_pivot_bits):

@@ -203,6 +203,13 @@ def test_input_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("gens, bad", [("XX;Z", "'Z'"), ("X;ZZ", "'ZZ'")])
+def test_props_mixed_lengths_exit_2(gens, bad, capsys):
+    # the first string fixes n; the other one is named
+    assert main(["props", "--gens", gens]) == 2
+    assert bad in capsys.readouterr().err
+
+
 def test_props_oversized_group_exits_2(capsys):
     assert main(["props", "--gens", "X" * 20]) == 2
     assert "enumeration guard" in capsys.readouterr().err
@@ -213,13 +220,16 @@ def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):
         shutil.copy(path, tmp_path / path.name)
     target = tmp_path / "codes_n2_k0.jsonl"
     lines = target.read_text().splitlines()
-    obj = json.loads(lines[0])
-    obj["d"], obj["is_css"] = str(obj["d"]), "yes"
-    lines[0] = json.dumps(obj, separators=(",", ":"))
-    target.write_text("".join(line + "\n" for line in lines))
-    assert main(["query", "--db", str(tmp_path), "--d", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "codes_n2_k0.jsonl:1:" in err and "d, is_css" in err
+    good = json.loads(lines[0])
+    for changes, named in (
+        ({"d": str(good["d"]), "is_css": "yes"}, "d, is_css"),
+        ({"generators": [1]}, "generators"),  # a mistyped list entry
+    ):
+        lines[0] = json.dumps(dict(good, **changes), separators=(",", ":"))
+        target.write_text("".join(line + "\n" for line in lines))
+        assert main(["query", "--db", str(tmp_path), "--d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "codes_n2_k0.jsonl:1:" in err and err.rstrip().endswith(named)
 
 
 def test_usage_errors_exit_2_subprocess():

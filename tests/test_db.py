@@ -140,9 +140,22 @@ def test_record_field_types(db3, tmp_path):
             line = json.dumps(dict(obj, **{name: wrong}))
             with pytest.raises(ValueError, match=rf"field\(s\) {name}$"):
                 CodeRecord.from_json(line)
+    # list fields are checked entry by entry
+    for name, wrong in (
+        ("generators", ["XX", 1]),
+        ("weight_enumerator", [1, 0, "3"]),
+        ("weight_enumerator", [1, 0, True]),
+    ):
+        line = json.dumps(dict(obj, **{name: wrong}))
+        with pytest.raises(ValueError, match=rf"field\(s\) {name}$"):
+            CodeRecord.from_json(line)
     bad = CodeRecord.from_json(rec.to_json())
     bad.d, bad.is_css = "1", "yes"
     with pytest.raises(ValueError, match=r"index=0\): .* d, is_css$"):
+        bad.validate()
+    bad = CodeRecord.from_json(rec.to_json())
+    bad.generators = [1, 2]
+    with pytest.raises(ValueError, match=r"index=0\): .* generators$"):
         bad.validate()
     # read_db names the file and line of a mistyped record
     directory, _ = db3

@@ -78,6 +78,18 @@ class TestRref:
             col = [(row >> p) & 1 for row in reduced.rows]
             assert col == [1 if j == i else 0 for j in range(reduced.nrows)]
 
+    def test_column_order(self):
+        m = mat(4, bits_to_int("1100"), bits_to_int("0110"), bits_to_int("0011"))
+        reduced, pivots, transform = rref(m, [3, 1])
+        # pivots come in the listed order; an unlisted column never pivots
+        assert pivots == [3, 1]
+        assert reduced.rows == [
+            bits_to_int("0011"),
+            bits_to_int("0110"),
+            bits_to_int("1010"),
+        ]
+        assert matmul(transform, m) == reduced
+
 
 class TestKernel:
     def test_single_parity(self):
@@ -134,6 +146,22 @@ def test_rref_transform_invertible(m):
     reduced, _, transform = rref(m)
     assert matmul(transform, m) == reduced
     assert rank(transform) == m.nrows
+
+
+@settings(max_examples=200)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_rref_column_order(m, rnd):
+    order = rnd.sample(range(m.ncols), rnd.randint(0, m.ncols))
+    reduced, pivots, transform = rref(m, order)
+    assert matmul(transform, m) == reduced
+    assert rank(transform) == m.nrows
+    assert pivots == [c for c in order if c in pivots]
+    for i, p in enumerate(pivots):
+        col = [(row >> p) & 1 for row in reduced.rows]
+        assert col == [1 if j == i else 0 for j in range(reduced.nrows)]
+    # rows past the pivots vanish on every listed column
+    for row in reduced.rows[len(pivots):]:
+        assert not any((row >> c) & 1 for c in order)
 
 
 @settings(max_examples=200)

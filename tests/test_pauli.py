@@ -112,6 +112,12 @@ class TestStabGroup:
         with pytest.raises(ValueError, match="anticommute"):
             StabGroup.from_strings(["XI", "ZI"])
 
+    @pytest.mark.parametrize("strings", [["XX", "Z"], ["X", "ZZ"]])
+    def test_rejects_mixed_lengths(self, strings):
+        # the first string fixes n; a shorter or longer one is named
+        with pytest.raises(ValueError, match="expected .* letters"):
+            StabGroup.from_strings(strings)
+
     def test_same_group_basis_independent(self):
         a = StabGroup.from_strings(["XX", "ZZ"])
         b = StabGroup.from_strings(["YY", "ZZ"])

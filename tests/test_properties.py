@@ -3,6 +3,7 @@ brute-force oracles, and transformation invariance."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -35,7 +36,12 @@ from reference_data import (
     STEANE_ROW,
     group_from_row,
 )
-from util import brute_distance, random_stab_group, reembed
+from util import (
+    brute_distance,
+    brute_gf4_representative,
+    random_stab_group,
+    reembed,
+)
 
 # ---------------------------------------------------------------- reference
 
@@ -259,6 +265,37 @@ def test_gf4_representative():
     assert gf4_representative(StabGroup.from_strings(["ZZ"])) is None
     assert gf4_representative(StabGroup.from_strings([], 2)) is None
     assert gf4_representative(group_from_row(PERFECT_513_ROW)) is not None
+
+
+def test_gf4_representative_matches_sweep(full_enumeration):
+    rng = random.Random(41)
+    reps = [
+        e.rep
+        for n in range(1, 6)
+        for entries in full_enumeration[n]["classes"].values()
+        for e in entries
+    ]
+    linear = [g for g in reps if gf4_linear_test(g)]
+    groups = reps + [
+        apply_lcperm(g, random_lcperm(g.n, rng))
+        for g in rng.choices(linear, k=100)
+    ]
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        groups.append(random_stab_group(n, rng.randint(0, n), rng))
+    witnesses = 0
+    for g in groups:
+        got = gf4_representative(g)
+        assert got == brute_gf4_representative(g), g
+        witnesses += got is not None
+    assert witnesses > 100
+
+
+def test_gf4_representative_is_fast_on_20_qubits():
+    g = random_stab_group(20, 18, random.Random(7))
+    start = time.perf_counter()
+    gf4_representative(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def apply_lcperm_letters(g, clifford):

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite."""
 
-from stabdb.f2core import BitMatrix, rank
+import itertools
+
+from stabdb.f2core import BitMatrix, rank, reduce_row, rref
 from stabdb.pauli import PauliOp, StabGroup, span_rows, symplectic_product
+from stabdb.transform import LocalClifford
 
 
 def random_stab_group(n: int, r: int, rng) -> StabGroup:
@@ -98,3 +101,28 @@ def reembed(report, n: int) -> StabGroup:
                 full |= ((row >> (m + pos)) & 1) << (n + q)
             rows.append(full)
     return StabGroup(n, BitMatrix(2 * n, rows))
+
+
+def brute_gf4_representative(g: StabGroup):
+    """First I/H pattern, qubit 0 most significant, whose image is closed
+    under the letter cycle X->Y->Z->X, or None; walks all 2^n patterns
+    (an exponential oracle).  A qubit under H sees the inverse cycle."""
+    n = g.n
+    if g.r % 2 == 1 or g.r == 0:
+        return None
+    mask = (1 << n) - 1
+    reduced, pivots, _ = rref(g.gens)
+    srows = reduced.rows[: len(pivots)]
+    for pattern in itertools.product((0, 1), repeat=n):
+        m_inv = sum(1 << j for j, p in enumerate(pattern) if p)
+        m_cycle = mask ^ m_inv
+        for row in g.gens.rows:
+            x = row & mask
+            z = row >> n
+            nx = ((x ^ z) & m_cycle) | (z & m_inv)
+            nz = (x & m_cycle) | ((x ^ z) & m_inv)
+            if reduce_row(srows, pivots, nx | (nz << n)):
+                break
+        else:
+            return LocalClifford(pattern)
+    return None
