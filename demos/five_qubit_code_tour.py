@@ -10,7 +10,7 @@ binary code).
 """
 
 from stabdb.canon import are_equivalent, aut_size, class_key
-from stabdb.pauli import PauliOp, StabGroup, format_pauli, span_elements
+from stabdb.pauli import StabGroup, format_pauli, span_rows
 from stabdb.properties import (
     css_rank_test,
     decompose,
@@ -26,7 +26,7 @@ g = StabGroup.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], 5)
 
 print("generators:")
 for row in g.gens.rows:
-    print("  ", format_pauli(PauliOp.from_packed(g.n, row)))
+    print("  ", format_pauli(row, g.n))
 
 print()
 print("n =", g.n, " k =", g.k, " d =", distance(g))
@@ -39,10 +39,12 @@ print("decomposes:", decompose(g).length > 1)
 print("|Aut| =", aut_size(g))
 
 # every nonidentity stabilizer element has weight 4: the enumerator says
-# 15 of them, which is the whole group minus the identity
-elems = [p for p in span_elements(g) if p.packed()]
+# 15 of them, which is the whole group minus the identity.  A packed row's
+# support is its X half OR its Z half.
+qubits = (1 << g.n) - 1
+elems = [row for row in span_rows(g) if row]
 print("nonidentity elements:", len(elems))
-assert all(p.weight() == 4 for p in elems)
+assert all(((row | row >> g.n) & qubits).bit_count() == 4 for row in elems)
 
 # codeword-stabilized form: a graph state and a classical code over GF(2).
 # For this code the graph is the 5-cycle and the classical code is the

@@ -10,7 +10,7 @@ queryable flat-file database.
 Modules
 -------
 f2core      packed GF(2) linear algebra (rank, RREF, kernels)
-pauli       phase-free Pauli operators and stabilizer groups
+pauli       phase-free Pauli operators as packed rows, stabilizer groups
 transform   local Clifford + permutation symmetries, reduced standard form
 canon       colored-graph canonical forms, class keys, automorphism orders
 properties  distance, enumerators, CSS / GF(4) / decomposability tests
@@ -19,31 +19,20 @@ verify      exact mass-formula certification of class counts
 db          JSONL record store with query and distribution helpers
 """
 
-from .f2core import BitMatrix, BitVec, kernel, rank, rref
-from .pauli import (
-    PauliOp,
-    StabGroup,
-    centralizer,
-    format_pauli,
-    parse_pauli,
-    span_elements,
-    symplectic_product,
-)
+from .f2core import BitMatrix, kernel, rank, rref
+from .pauli import StabGroup, centralizer, format_pauli, parse_pauli, symplectic_product
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BitMatrix",
-    "BitVec",
     "kernel",
     "rank",
     "rref",
-    "PauliOp",
     "StabGroup",
     "centralizer",
     "format_pauli",
     "parse_pauli",
-    "span_elements",
     "symplectic_product",
     "__version__",
 ]

@@ -93,23 +93,23 @@ class CodeRecord:
         return rec
 
 
-# (name, value type, entry type of a list field or None), in JSON key order
-_SCHEMA = tuple(
-    (f.name, get_origin(f.type) or f.type, next(iter(get_args(f.type)), None))
+# {name: (value type, entry type of a list field or None)}, in JSON key order
+_SCHEMA = {
+    f.name: (get_origin(f.type) or f.type, next(iter(get_args(f.type)), None))
     for f in fields(CodeRecord)
-)
-_FIELD_ORDER = tuple(name for name, _, _ in _SCHEMA)
+}
+_FIELD_ORDER = tuple(_SCHEMA)
 
 
 def _check_types(values: dict):
-    """Raise unless every field value in the record mapping has its schema
-    type (bool is not int), naming each field that does not."""
-    bad = [
-        name
-        for name, t, entry in _SCHEMA
-        if type(values[name]) is not t
-        or (entry and any(type(v) is not entry for v in values[name]))
-    ]
+    """Raise unless every value in the mapping of field names has its schema
+    type (bool is not int, list entries included), naming each field that
+    does not.  Records hold every field; query filters hold only theirs."""
+    bad = []
+    for name, value in values.items():
+        t, entry = _SCHEMA[name]
+        if type(value) is not t or (entry and any(type(v) is not entry for v in value)):
+            bad.append(name)
     if bad:
         raise ValueError(f"wrong type for field(s) {', '.join(bad)}")
 
@@ -220,7 +220,8 @@ class Database:
 
 class Query:
     """Conjunctive equality filters over record fields, by field name; a
-    filter given as None is not set.
+    filter given as None is not set, and every other value must have its
+    field's schema type.
 
     info_only skips the generator re-parse validation of each hit.
     """
@@ -232,6 +233,7 @@ class Query:
         self.filters = {
             name: value for name, value in filters.items() if value is not None
         }
+        _check_types(self.filters)
         self.info_only = info_only
 
     @classmethod

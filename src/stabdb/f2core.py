@@ -6,72 +6,7 @@ with column j at bit j (little-endian within a row).
 
 from __future__ import annotations
 
-__all__ = ["BitVec", "BitMatrix", "rank", "rref", "kernel", "reduce_row"]
-
-
-class BitVec:
-    """A fixed-length vector over GF(2), packed into a single int.
-
-    Bit j of ``bits`` is coordinate j.  Length is immutable after
-    construction and indexing is 0-based.
-    """
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0):
-        if n < 0:
-            raise ValueError("length must be nonnegative")
-        if bits < 0 or bits >> n:
-            raise ValueError(f"value 0x{bits:x} does not fit in {n} bits")
-        self.n = n
-        self.bits = bits
-
-    @classmethod
-    def from_bits(cls, seq) -> "BitVec":
-        seq = list(seq)
-        v = 0
-        for j, b in enumerate(seq):
-            if b:
-                v |= 1 << j
-        return cls(len(seq), v)
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, j: int) -> int:
-        if not 0 <= j < self.n:
-            raise IndexError(j)
-        return (self.bits >> j) & 1
-
-    def __iter__(self):
-        b = self.bits
-        for _ in range(self.n):
-            yield b & 1
-            b >>= 1
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVec(self.n, self.bits ^ other.bits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVec)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def __int__(self) -> int:
-        return self.bits
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __repr__(self) -> str:
-        return f"BitVec({''.join(str(b) for b in self)!r})"
+__all__ = ["BitMatrix", "rank", "rref", "kernel", "reduce_row"]
 
 
 class BitMatrix:
@@ -93,9 +28,6 @@ class BitMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row(self, i: int) -> BitVec:
-        return BitVec(self.ncols, self.rows[i])
 
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1

@@ -1,10 +1,11 @@
-"""Phase-free Pauli operators and stabilizer groups.
+"""Phase-free Pauli operators as packed rows, and stabilizer groups.
 
-An n-qubit Pauli (mod the phase subgroup <iI>) is a pair of length-n bit
-vectors: x marks X-type support, z marks Z-type support, and the letter on
-qubit j is I/X/Z/Y for (x_j, z_j) = (0,0)/(1,0)/(0,1)/(1,1).  A stabilizer
-group is held as a rank-r generator matrix of packed [x|z] rows (x in bits
-0..n-1, z in bits n..2n-1); pairs of rows must commute symplectically.
+An n-qubit Pauli (mod the phase subgroup <iI>) is one packed [x|z] int:
+bit j marks X-type support and bit n + j Z-type support on qubit j, and
+the letter on qubit j is I/X/Z/Y for (x_j, z_j) = (0,0)/(1,0)/(0,1)/(1,1).
+The phase-free product of two Paulis is the XOR of their rows.  A
+stabilizer group is held as a rank-r generator matrix of such rows; pairs
+of rows must commute symplectically.
 
 Dropping phases is sound for everything computed in this package: groups
 that differ only by Pauli conjugation (signs) have the same symplectic
@@ -13,15 +14,13 @@ picture, and so the same class identity, distance and flags.
 
 from __future__ import annotations
 
-from .f2core import BitMatrix, BitVec, _rank_of_rows, kernel, reduce_row, rref
+from .f2core import BitMatrix, _rank_of_rows, kernel, reduce_row, rref
 
 __all__ = [
-    "PauliOp",
     "StabGroup",
     "parse_pauli",
     "format_pauli",
     "symplectic_product",
-    "span_elements",
     "span_rows",
     "centralizer",
     "logical_rows",
@@ -30,52 +29,8 @@ __all__ = [
 _LETTERS = "IXZY"  # letter for the 2-bit code x + 2z
 
 
-class PauliOp:
-    """A phase-free n-qubit Pauli operator."""
-
-    __slots__ = ("x", "z")
-
-    def __init__(self, x: BitVec, z: BitVec):
-        if x.n != z.n:
-            raise ValueError("x and z parts must have equal length")
-        self.x = x
-        self.z = z
-
-    @property
-    def n(self) -> int:
-        return self.x.n
-
-    @classmethod
-    def from_packed(cls, n: int, row: int) -> "PauliOp":
-        mask = (1 << n) - 1
-        return cls(BitVec(n, row & mask), BitVec(n, row >> n))
-
-    def packed(self) -> int:
-        """The [x|z] encoding: x part in bits 0..n-1, z part above."""
-        return self.x.bits | (self.z.bits << self.n)
-
-    def letter(self, j: int) -> str:
-        return _LETTERS[self.x[j] + 2 * self.z[j]]
-
-    def weight(self) -> int:
-        return (self.x.bits | self.z.bits).bit_count()
-
-    def __mul__(self, other: "PauliOp") -> "PauliOp":
-        # phase-free product is coordinatewise XOR
-        return PauliOp(self.x ^ other.x, self.z ^ other.z)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PauliOp) and self.x == other.x and self.z == other.z
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.z))
-
-    def __repr__(self) -> str:
-        return f"PauliOp({format_pauli(self)!r})"
-
-
-def parse_pauli(s: str, n: int | None = None) -> PauliOp:
-    """Parse a Pauli string over the alphabet IXYZ, qubit 0 leftmost.
+def parse_pauli(s: str, n: int | None = None) -> int:
+    """Packed [x|z] row of a Pauli string over IXYZ, qubit 0 leftmost.
 
     If n is given the string must have exactly that length.  Malformed
     input raises ValueError naming the offending position.
@@ -96,28 +51,25 @@ def parse_pauli(s: str, n: int | None = None) -> PauliOp:
             z |= 1 << j
         else:
             raise ValueError(f"invalid Pauli letter {ch!r} at position {j} in {s!r}")
-    m = len(s)
-    return PauliOp(BitVec(m, x), BitVec(m, z))
+    return x | (z << len(s))
 
 
-def format_pauli(p: PauliOp) -> str:
-    return "".join(p.letter(j) for j in range(p.n))
+def format_pauli(row: int, n: int) -> str:
+    """The IXYZ string of an n-qubit packed row, qubit 0 leftmost."""
+    z = row >> n
+    return "".join(_LETTERS[((row >> j) & 1) | (((z >> j) & 1) << 1)] for j in range(n))
 
 
-def symplectic_product(a: PauliOp, b: PauliOp) -> int:
-    """0 if a and b commute as Pauli operators, 1 if they anticommute.
+def symplectic_product(a: int, b: int, n: int) -> int:
+    """0 if the n-qubit rows a and b commute as Pauli operators, 1 if they
+    anticommute.
 
     The binary symplectic form <a_x, b_z> + <a_z, b_x> mod 2; the parity of
     |A| + |B| equals the parity of |A xor B| for the two overlap sets.
+    Shifting one operand down by n keeps only its n-bit Z part, so the
+    AND needs no mask.
     """
-    if a.n != b.n:
-        raise ValueError("operators act on different qubit counts")
-    return ((a.x.bits & b.z.bits) ^ (a.z.bits & b.x.bits)).bit_count() & 1
-
-
-def _sym_packed(a: int, b: int, n: int, mask: int) -> int:
-    """Symplectic product of two packed [x|z] rows."""
-    return (((a & mask) & (b >> n)) ^ ((a >> n) & (b & mask))).bit_count() & 1
+    return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
 
 
 class StabGroup:
@@ -143,10 +95,9 @@ class StabGroup:
         rows = self.gens.rows
         if _rank_of_rows(rows) != len(rows):
             raise ValueError("generators are not independent")
-        n, mask = self.n, (1 << self.n) - 1
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                if _sym_packed(rows[i], rows[j], n, mask):
+                if symplectic_product(rows[i], rows[j], self.n):
                     raise ValueError(
                         f"generators {i} and {j} anticommute; not a stabilizer group"
                     )
@@ -160,8 +111,7 @@ class StabGroup:
             if not strings:
                 raise ValueError("cannot infer qubit count from an empty list")
             n = len(strings[0])
-        ops = [parse_pauli(s, n) for s in strings]
-        return cls(n, BitMatrix(2 * n, [p.packed() for p in ops]))
+        return cls(n, BitMatrix(2 * n, [parse_pauli(s, n) for s in strings]))
 
     @property
     def r(self) -> int:
@@ -171,11 +121,8 @@ class StabGroup:
     def k(self) -> int:
         return self.n - self.r
 
-    def generators(self) -> list[PauliOp]:
-        return [PauliOp.from_packed(self.n, row) for row in self.gens.rows]
-
     def generator_strings(self) -> list[str]:
-        return [format_pauli(p) for p in self.generators()]
+        return [format_pauli(row, self.n) for row in self.gens.rows]
 
     def canonical_gens(self) -> BitMatrix:
         """RREF-canonical generator matrix (basis-independent group id)."""
@@ -206,11 +153,6 @@ def span_rows(g: StabGroup) -> list[int]:
         cur ^= rows[(t & -t).bit_length() - 1]
         walk[t] = cur
     return walk
-
-
-def span_elements(g: StabGroup) -> list[PauliOp]:
-    """All 2^r distinct phase-free products of generators (Gray-code order)."""
-    return [PauliOp.from_packed(g.n, row) for row in span_rows(g)]
 
 
 def centralizer(g: StabGroup) -> BitMatrix:

@@ -43,6 +43,11 @@ __all__ = [
 # up to 12 qubits.
 DISTANCE_MAX_BITS = 24
 
+# Nodes the CSS search may visit before it refuses, as the distance guard
+# does: about 200 times the most any class representative on up to 7 qubits
+# needs (5,263).
+CSS_MAX_NODES = 1 << 20
+
 _CYCLE = LETTER_NAMES.index("R")  # X -> Y -> Z -> X
 
 
@@ -185,7 +190,8 @@ def css_representative(g: StabGroup):
     Each qubit adds its new X and Z columns to two incremental GF(2) bases;
     since rank(X) + rank(Z) never falls below r and only grows as columns
     are added, a branch is cut once the sum exceeds r.  Qubit permutations
-    never help, so none are tried.
+    never help, so none are tried.  Raises ValueError once the search
+    visits more than CSS_MAX_NODES nodes.
     """
     n, r = g.n, g.r
     if r == 0:
@@ -199,6 +205,7 @@ def css_representative(g: StabGroup):
             cz |= ((row >> (n + j)) & 1) << i
         cols.append({"x": cx, "z": cz, "xz": cx ^ cz})
     gates = []
+    nodes = 0
 
     def reduced(basis, col):
         out = {}
@@ -210,6 +217,10 @@ def css_representative(g: StabGroup):
         return out
 
     def search(j, basis_x, basis_z):
+        nonlocal nodes
+        nodes += 1
+        if nodes > CSS_MAX_NODES:
+            raise ValueError(f"CSS search over {CSS_MAX_NODES} nodes exceeds its guard")
         if j == n:
             return True
         room = r - len(basis_x) - len(basis_z)

@@ -1,4 +1,4 @@
-"""Class enumeration: extension search, graph-state search, class relations.
+"""Class enumeration: extension search and graph-state search.
 
 Two independent strategies produce a transversal of the equivalence
 classes per (n, k):
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .canon import CanonicalKey, automorphisms, class_key
 from .f2core import BitMatrix, kernel, rref
-from .pauli import StabGroup, _sym_packed, logical_rows
+from .pauli import StabGroup, logical_rows, symplectic_product
 from .transform import LocalClifford, apply_local_clifford, apply_perm, lcperm_rows, rsf
 
 
@@ -169,8 +169,14 @@ def graphstate_orbits(n: int) -> list[GraphState]:
     Walks every labeled graph once: each unvisited graph seeds a closure
     under single local complementations and adjacent vertex
     transpositions, and the seed (the smallest unvisited encoding) is the
-    orbit representative.
+    orbit representative.  Refuses n > 7, where the visited bitmap of
+    2^(n(n-1)/2) bytes would take 268 MB (n = 8) or 64 GB (n = 9).
     """
+    if n > 7:
+        raise ValueError(
+            f"graph-state search refuses n = {n} > 7: "
+            f"its bitmap would take 2^{n * (n - 1) // 2} bytes"
+        )
     if n == 0:
         return []
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -265,7 +271,6 @@ def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
     anticommuting partner, then clean the remainder against the pair.
     The returned firsts commute pairwise.
     """
-    mask = (1 << n) - 1
     pool = list(rows)
     firsts = []
     while pool:
@@ -274,7 +279,7 @@ def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
             continue
         partner = None
         for i, w in enumerate(pool):
-            if _sym_packed(v, w, n, mask):
+            if symplectic_product(v, w, n):
                 partner = i
                 break
         if partner is None:
@@ -284,8 +289,8 @@ def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
         firsts.append(v)
         pool = [
             u
-            ^ (v if _sym_packed(u, w, n, mask) else 0)
-            ^ (w if _sym_packed(u, v, n, mask) else 0)
+            ^ (v if symplectic_product(u, w, n) else 0)
+            ^ (w if symplectic_product(u, v, n) else 0)
             for u in pool
         ]
     return firsts
@@ -370,24 +375,3 @@ def _rref_matrices(n: int, k: int):
                     pos += 1
                 rows.append(row)
             yield BitMatrix(n, rows)
-
-
-def parent_child_edges(parents, children) -> list[tuple]:
-    """Edges (parent key, child key) between consecutive levels.
-
-    A parent at level k relates to a child at level k - 1 exactly when
-    one of the parent representative's extensions lands in the child's
-    class; transporting a witness through the class equivalence shows the
-    representative's extensions are exhaustive.
-    """
-    child_keys = {entry.key for entry in children}
-    edges = set()
-    for p in parents:
-        for cand in extend_class(p.rep):
-            key = class_key(cand)
-            if key not in child_keys:
-                raise ValueError(
-                    "extension reached a class missing from children"
-                )
-            edges.add((p.key, key))
-    return sorted(edges)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from stabdb import properties
 from stabdb.canon import aut_size, class_key
 from stabdb.cli import main
 from stabdb.db import build_records
@@ -213,6 +214,21 @@ def test_props_mixed_lengths_exit_2(gens, bad, capsys):
 def test_props_oversized_group_exits_2(capsys):
     assert main(["props", "--gens", "X" * 20]) == 2
     assert "enumeration guard" in capsys.readouterr().err
+
+
+def test_props_css_guard_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
+    assert main(["props", "--gens", "XZZXI;IXZZX;XIXZZ;ZXIXZ"]) == 2
+    assert "CSS search over 10 nodes" in capsys.readouterr().err
+
+
+def test_enumerate_cws_above_7_exits_2(tmp_path, capsys):
+    # refused before the 2^28-byte graph bitmap is allocated
+    out = tmp_path / "DB"
+    argv = ["enumerate", "--n", "8", "--strategy", "cws", "--out", str(out)]
+    assert main(argv) == 2
+    assert "refuses n = 8 > 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):

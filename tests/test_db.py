@@ -193,6 +193,15 @@ def test_query_rejects_unknown_filter():
         Query.from_filters(distance=3)
 
 
+@pytest.mark.parametrize(
+    "filters, field", [({"d": True}, "d"), ({"is_css": 1}, "is_css"), ({"n": "2"}, "n")]
+)
+def test_query_rejects_mistyped_filter(filters, field):
+    # bool is not int, nor int bool, nor str int, as on the read path
+    with pytest.raises(ValueError, match=rf"wrong type for field\(s\) {field}$"):
+        Query(**filters)
+
+
 def test_query_info_only_skips_validation(db3, tmp_path):
     directory, _ = db3
     for path in directory.glob("*.jsonl"):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabdb.f2core import BitMatrix, BitVec, kernel, rank, reduce_row, rref
+from stabdb.f2core import BitMatrix, kernel, rank, reduce_row, rref
 
 from util import matmul
 
@@ -22,29 +22,11 @@ def bits_to_int(s):
     return v
 
 
-class TestBitVec:
-    def test_roundtrip(self):
-        v = BitVec.from_bits([1, 0, 1, 1])
-        assert v.n == 4
-        assert list(v) == [1, 0, 1, 1]
-        assert v.bits == 0b1101
-
-    def test_weight(self):
-        assert BitVec(5, 0).weight() == 0
-        assert BitVec.from_bits([1, 1, 0, 1]).weight() == 3
-
-    def test_xor(self):
-        a = BitVec.from_bits([1, 1, 0])
-        b = BitVec.from_bits([0, 1, 1])
-        assert (a ^ b) == BitVec.from_bits([1, 0, 1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            BitVec(3, 0) ^ BitVec(4, 0)
-
+class TestBitMatrix:
     def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            BitVec(2, 0b100)
+        # a row with a bit at or above ncols does not fit
+        with pytest.raises(ValueError, match="does not fit"):
+            BitMatrix(2, [0b100])
 
 
 class TestRank:

@@ -14,16 +14,16 @@ from hypothesis import strategies as st
 
 from stabdb.f2core import BitMatrix, rank
 from stabdb.pauli import (
-    PauliOp,
     StabGroup,
     centralizer,
     format_pauli,
     logical_rows,
     parse_pauli,
-    span_elements,
     span_rows,
     symplectic_product,
 )
+
+from util import packed_weight
 
 _M = {
     "I": np.eye(2),
@@ -33,10 +33,10 @@ _M = {
 }
 
 
-def dense(p: PauliOp) -> np.ndarray:
+def dense(row: int, n: int) -> np.ndarray:
     out = np.eye(1, dtype=complex)
-    for j in range(p.n):
-        out = np.kron(out, _M[p.letter(j)])
+    for letter in format_pauli(row, n):
+        out = np.kron(out, _M[letter])
     return out
 
 
@@ -47,17 +47,15 @@ def all_paulis(n):
 
 class TestParse:
     def test_example(self):
-        p = parse_pauli("XIZ", 3)
-        assert list(p.x) == [1, 0, 0]
-        assert list(p.z) == [0, 0, 1]
+        # x part in bits 0..2, z part in bits 3..5
+        assert parse_pauli("XIZ", 3) == 0b001 | (0b100 << 3)
 
     def test_y_sets_both(self):
-        p = parse_pauli("IY")
-        assert p.x.bits == 0b10 and p.z.bits == 0b10
+        assert parse_pauli("IY") == 0b10 | (0b10 << 2)
 
     def test_roundtrip(self):
         for s in ["IIII", "XYZI", "YYYY", "ZIXZ"]:
-            assert format_pauli(parse_pauli(s)) == s
+            assert format_pauli(parse_pauli(s), len(s)) == s
 
     def test_bad_letter(self):
         with pytest.raises(ValueError, match="position 2"):
@@ -68,31 +66,31 @@ class TestParse:
             parse_pauli("XX", 3)
 
     def test_weight(self):
-        assert parse_pauli("IXYZ").weight() == 3
-        assert parse_pauli("III").weight() == 0
+        assert packed_weight(parse_pauli("IXYZ"), 4) == 3
+        assert packed_weight(parse_pauli("III"), 3) == 0
 
 
 class TestSymplecticProduct:
     def test_anticommuting_pair(self):
-        assert symplectic_product(parse_pauli("X"), parse_pauli("Z")) == 1
-        assert symplectic_product(parse_pauli("XX"), parse_pauli("ZI")) == 1
+        assert symplectic_product(parse_pauli("X"), parse_pauli("Z"), 1) == 1
+        assert symplectic_product(parse_pauli("XX"), parse_pauli("ZI"), 2) == 1
 
     def test_commuting_pair(self):
-        assert symplectic_product(parse_pauli("XX"), parse_pauli("ZZ")) == 0
-        assert symplectic_product(parse_pauli("XIZ"), parse_pauli("ZIX")) == 0
+        assert symplectic_product(parse_pauli("XX"), parse_pauli("ZZ"), 2) == 0
+        assert symplectic_product(parse_pauli("XIZ"), parse_pauli("ZIX"), 3) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dense_oracle(self, n):
         ops = list(all_paulis(n))
-        mats = [dense(p) for p in ops]
+        mats = [dense(p, n) for p in ops]
         for i, a in enumerate(ops):
             for j, b in enumerate(ops):
                 commutes = np.allclose(mats[i] @ mats[j], mats[j] @ mats[i])
-                assert symplectic_product(a, b) == (0 if commutes else 1)
+                assert symplectic_product(a, b, n) == (0 if commutes else 1)
 
     def test_product_is_xor(self):
         a, b = parse_pauli("XYI"), parse_pauli("ZYX")
-        assert format_pauli(a * b) == "YIX"
+        assert format_pauli(a ^ b, 3) == "YIX"
 
 
 class TestStabGroup:
@@ -129,7 +127,7 @@ class TestStabGroup:
 class TestSpan:
     def test_bell_span(self):
         g = StabGroup.from_strings(["XX", "ZZ"])
-        got = {format_pauli(p) for p in span_elements(g)}
+        got = {format_pauli(row, 2) for row in span_rows(g)}
         assert got == {"II", "XX", "ZZ", "YY"}
 
     def test_gray_order_steps_by_one_generator(self):
@@ -143,7 +141,7 @@ class TestSpan:
 
     def test_trivial_span(self):
         g = StabGroup.from_strings([], n=2)
-        assert [p.packed() for p in span_elements(g)] == [0]
+        assert span_rows(g) == [0]
 
 
 class TestCentralizer:
@@ -160,9 +158,7 @@ class TestCentralizer:
                 if (t >> i) & 1:
                     v ^= cent.rows[i]
             members.add(v)
-        expected = {
-            p.packed() for p in all_paulis(2) if symplectic_product(p, zz) == 0
-        }
+        expected = {p for p in all_paulis(2) if symplectic_product(p, zz, 2) == 0}
         assert members == expected
 
     def test_contains_group(self):
@@ -176,9 +172,9 @@ class TestCentralizer:
         for gen in g.gens.rows:
             assert reduce_row(rows, pivots, gen) == 0
         # the logical ZZZZZ commutes with all four generators
-        assert reduce_row(rows, pivots, parse_pauli("ZZZZZ").packed()) == 0
+        assert reduce_row(rows, pivots, parse_pauli("ZZZZZ")) == 0
         # a weight-1 operator does not (distance 3)
-        assert reduce_row(rows, pivots, parse_pauli("ZIIII").packed()) != 0
+        assert reduce_row(rows, pivots, parse_pauli("ZIIII")) != 0
 
     def test_logical_rows_complete_the_group(self):
         # 2k centralizer rows, independent of each other and of the group
@@ -187,8 +183,7 @@ class TestCentralizer:
         assert len(logical) == 2 * g.k
         assert rank(BitMatrix(2 * g.n, list(g.gens.rows) + logical)) == g.n + g.k
         for row in logical:
-            p = PauliOp.from_packed(g.n, row)
-            assert not any(symplectic_product(p, s) for s in g.generators())
+            assert not any(symplectic_product(row, s, g.n) for s in g.gens.rows)
         assert logical_rows(StabGroup.from_strings(["XX", "ZZ"])) == []
 
     def test_trivial_group(self):
@@ -201,16 +196,15 @@ def pauli_pairs(draw):
     n = draw(st.integers(1, 6))
     a = draw(st.integers(0, (1 << (2 * n)) - 1))
     b = draw(st.integers(0, (1 << (2 * n)) - 1))
-    return PauliOp.from_packed(n, a), PauliOp.from_packed(n, b)
+    return n, a, b
 
 
 @settings(max_examples=200)
 @given(pauli_pairs())
 def test_symplectic_form_is_symmetric_bilinear(pair):
-    a, b = pair
-    assert symplectic_product(a, b) == symplectic_product(b, a)
-    ab = a * b
-    c = PauliOp.from_packed(a.n, 0b101 % (1 << (2 * a.n)))
-    lhs = symplectic_product(ab, c)
-    rhs = symplectic_product(a, c) ^ symplectic_product(b, c)
+    n, a, b = pair
+    assert symplectic_product(a, b, n) == symplectic_product(b, a, n)
+    c = 0b101 % (1 << (2 * n))
+    lhs = symplectic_product(a ^ b, c, n)
+    rhs = symplectic_product(a, c, n) ^ symplectic_product(b, c, n)
     assert lhs == rhs

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from stabdb import properties
 from stabdb.canon import aut_size, class_key
 from stabdb.pauli import StabGroup, parse_pauli, symplectic_product
 from stabdb.properties import (
@@ -39,6 +40,7 @@ from reference_data import (
 from util import (
     brute_distance,
     brute_gf4_representative,
+    packed_weight,
     random_stab_group,
     reembed,
 )
@@ -133,8 +135,9 @@ def test_weight_parity_additivity_single_qubit():
     ops = [parse_pauli(s) for s in "IXZY"]
     for a in ops:
         for b in ops:
-            defect = (a * b).weight() - a.weight() - b.weight()
-            assert defect % 2 == symplectic_product(a, b)
+            wa, wb = packed_weight(a, 1), packed_weight(b, 1)
+            defect = packed_weight(a ^ b, 1) - wa - wb
+            assert defect % 2 == symplectic_product(a, b, 1)
 
 
 # ------------------------------------------------------------------- parity
@@ -187,6 +190,13 @@ def test_css_representative_absent():
     assert css_representative(group_from_row(PERFECT_513_ROW)) is None
     g = StabGroup.from_strings(["ZIXZ", "YXYI", "IZZX"])
     assert css_representative(g) is None
+
+
+def test_css_search_is_bounded(monkeypatch):
+    # the [[5,1,3]] code has no CSS form, so its search runs to exhaustion
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
+    with pytest.raises(ValueError, match="CSS search over 10 nodes"):
+        css_representative(group_from_row(PERFECT_513_ROW))
 
 
 def test_css_witness_is_first_odometer_hit():

@@ -16,7 +16,6 @@ from stabdb.search import (
     enumerate_classes,
     extend_class,
     graphstate_orbits,
-    parent_child_edges,
     stabilizer_to_cws,
 )
 
@@ -226,20 +225,3 @@ def test_cws_matches_iterative():
     for k in range(4):
         got = {e.key for e in cws_enumerate(3, k)}
         assert got == {e.key for e in res[(3, k)]}
-
-
-def test_parent_child_edges_small():
-    res = enumerate_classes(2)
-    top = parent_child_edges(res[(2, 2)], res[(2, 1)])
-    root = res[(2, 2)][0].key
-    assert top == sorted((root, c.key) for c in res[(2, 1)])
-    mid = parent_child_edges(res[(2, 1)], res[(2, 0)])
-    # every child class is reachable from some parent
-    assert {c for _, c in mid} == {e.key for e in res[(2, 0)]}
-    assert {p for p, _ in mid} == {e.key for e in res[(2, 1)]}
-
-
-def test_parent_child_edges_missing_child():
-    res = enumerate_classes(2)
-    with pytest.raises(ValueError):
-        parent_child_edges(res[(2, 1)], res[(2, 0)][:0])

@@ -6,7 +6,7 @@ import pytest
 
 from stabdb.canon import aut_size
 from stabdb.f2core import _rank_of_rows
-from stabdb.pauli import StabGroup, _sym_packed
+from stabdb.pauli import StabGroup, symplectic_product
 from stabdb.search import _rref_matrices, enumerate_classes
 from stabdb.verify import gaussian_coeff, lcperm_order, mass_check, nlp_count
 
@@ -51,14 +51,13 @@ def test_nlp_examples():
 
 def _brute_group_count(n, r):
     """Count rank-r phase-free stabilizer groups by scanning row subsets."""
-    mask = (1 << n) - 1
     rows = list(range(1, 1 << (2 * n)))
     spans = set()
     for combo in itertools.combinations(rows, r):
         if _rank_of_rows(list(combo)) != r:
             continue
         if any(
-            _sym_packed(a, b, n, mask)
+            symplectic_product(a, b, n)
             for a, b in itertools.combinations(combo, 2)
         ):
             continue

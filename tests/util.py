@@ -3,7 +3,7 @@
 import itertools
 
 from stabdb.f2core import BitMatrix, rank, reduce_row, rref
-from stabdb.pauli import PauliOp, StabGroup, span_rows, symplectic_product
+from stabdb.pauli import StabGroup, span_rows, symplectic_product
 from stabdb.transform import LocalClifford
 
 
@@ -13,10 +13,7 @@ def random_stab_group(n: int, r: int, rng) -> StabGroup:
     rows: list[int] = []
     while len(rows) < r:
         cand = rng.randrange(1, 1 << (2 * n))
-        p = PauliOp.from_packed(n, cand)
-        if any(
-            symplectic_product(p, PauliOp.from_packed(n, q)) for q in rows
-        ):
+        if any(symplectic_product(cand, q, n) for q in rows):
             continue
         if rank(BitMatrix(2 * n, rows + [cand])) != len(rows) + 1:
             continue
@@ -78,10 +75,7 @@ def brute_distance(g: StabGroup) -> int:
     for row in range(1, 1 << (2 * n)):
         if row in span:
             continue
-        a = PauliOp.from_packed(n, row)
-        if any(
-            symplectic_product(a, PauliOp.from_packed(n, h)) for h in gens
-        ):
+        if any(symplectic_product(row, h, n) for h in gens):
             continue
         w = packed_weight(row, n)
         if best is None or w < best:
