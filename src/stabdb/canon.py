@@ -14,10 +14,12 @@ pattern, so the white action determines everything).
 The canonical labeler is a small individualization-refinement search:
 equitable refinement of ordered partitions, branching on the first smallest
 non-singleton cell, leaf certificates compared to keep a canonical image,
-discovered automorphisms pruning sibling branches orbit-wise.  The same
-search reads off the group order, as a product of orbit sizes along its
-first path; correctness of the whole pipeline is certified independently by
-the exact counting identity in the verify module.
+discovered automorphisms pruning sibling branches orbit-wise, and a jump
+back to the deepest common ancestor after every automorphism leaf (the
+rest of that branch is the automorphism's image of a searched one).  The
+same search reads off the group order, as a product of orbit sizes along
+its first path; correctness of the whole pipeline is certified
+independently by the exact counting identity in the verify module.
 """
 
 from __future__ import annotations
@@ -254,6 +256,15 @@ def _leaf_cert(edges, lab):
     return cert
 
 
+def _common_prefix(a: tuple, b: tuple) -> int:
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
+
+
 def _canonical_search(gph: ColoredGraph):
     """Returns (best labeling, automorphism generators, automorphism order).
 
@@ -263,6 +274,19 @@ def _canonical_search(gph: ColoredGraph):
     vertices generate the node's whole stabilizer; the first child's orbit
     in the target cell is then the index of the child's stabilizer in it,
     so |Aut| is the product of those orbit sizes along the first path.
+
+    A leaf whose certificate equals the first leaf's, or the best leaf's,
+    yields an automorphism g that fixes the common prefix of the two
+    individualized paths, and the search jumps back to the node at that
+    depth (McKay, "Practical graph isomorphism", 1981).  The abandoned
+    branch below it is g's image of the sibling branch holding the
+    matched leaf, which was searched before: it holds the same
+    certificates, so no better leaf, and it holds a leaf equal to the
+    first one only if that branch did, which would have jumped back above
+    it already.  A first-path node is never cut, since every leaf shares
+    its path up to the node's depth, so the orbit sizes, the generated
+    group and the best certificate are those of the full search, found
+    with fewer generators.
     """
     adj = gph.adj
     edges = gph.edges
@@ -274,7 +298,8 @@ def _canonical_search(gph: ColoredGraph):
     root = _Partition(cells)
     root.refine(adj, [root.start[cell[0]] for cell in cells])
 
-    state = {"first": None, "first_lab": None, "best": None, "best_lab": None}
+    # (certificate, labeling, individualized path) of the first and best leaves
+    first = best = None
     gens: list[tuple] = []
     gen_seen: set[tuple] = set()
     size = 1
@@ -291,25 +316,23 @@ def _canonical_search(gph: ColoredGraph):
             gens.append(perm)
 
     def explore(part, fixed):
-        nonlocal size
+        """Searches below the node; returns the depth to resume at."""
+        nonlocal size, first, best
+        depth = len(fixed)
         if part.nbig == 0:
             lab = part.labeling()
             cert = _leaf_cert(edges, lab)
-            if state["first"] is None:
-                state["first"] = cert
-                state["first_lab"] = lab
-                state["best"] = cert
-                state["best_lab"] = lab
-                return
-            if cert == state["first"]:
-                record_aut(state["first_lab"], lab)
-            if cert < state["best"]:
-                state["best"] = cert
-                state["best_lab"] = lab
-            elif cert == state["best"] and cert != state["first"]:
-                record_aut(state["best_lab"], lab)
-            return
-        first_path = state["first"] is None  # no leaf reached yet
+            if first is None:
+                first = best = (cert, lab, fixed)
+                return depth
+            for leaf in (first, best):
+                if cert == leaf[0]:
+                    record_aut(leaf[1], lab)
+                    return _common_prefix(fixed, leaf[2])
+            if cert < best[0]:
+                best = (cert, lab, fixed)
+            return depth
+        first_path = first is None  # no leaf reached yet
         s = part.target_cell()
         candidates = part.order[s : part.end[s]]
         explored = []
@@ -341,15 +364,18 @@ def _canonical_search(gph: ColoredGraph):
                     continue
             child = part.copy()
             child.refine(adj, child.individualize(v))
-            explore(child, fixed + (v,))
+            back = explore(child, fixed + (v,))
+            if back < depth:
+                return back
             explored.append(v)
         if first_path:
             merge_new_gens()
             root_v = find(candidates[0])
             size *= sum(1 for u in candidates if find(u) == root_v)
+        return depth
 
     explore(root, ())
-    return state["best_lab"], gens, size
+    return best[1], gens, size
 
 
 def _serialize(gph: ColoredGraph, lab) -> bytes:

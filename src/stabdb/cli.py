@@ -57,6 +57,11 @@ def _format_bitrows(m: BitMatrix) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.n > 7:
+        raise ValueError(
+            f"enumerate refuses n = {args.n} > 7: n = 7 is the largest "
+            "census with a certified digest"
+        )
     if args.strategy == "iterative":
         classes = enumerate_classes(args.n, args.kmin)
     else:

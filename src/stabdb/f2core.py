@@ -29,9 +29,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -41,9 +38,6 @@ class BitMatrix:
 
     def __hash__(self) -> int:
         return hash((self.ncols, tuple(self.rows)))
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.ncols, self.rows)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{r:0{self.ncols}b}"[::-1] for r in self.rows)

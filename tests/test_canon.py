@@ -188,7 +188,11 @@ class TestAutOrder:
     def test_known_graphs(self, nverts, edges, expect):
         gph = ColoredGraph(nverts, [1] * nverts, edges)
         assert _count_automorphisms(gph) == expect
-        assert canonical_form(gph)[1].size == expect
+        aut = canonical_form(gph)[1]
+        assert aut.size == expect
+        # the generators the jump-back search keeps still generate the group
+        assert closure_order(aut.generators, nverts) == expect
+        assert len(aut.generators) <= nverts - 1
 
     def test_random_colored_graphs(self):
         rng = random.Random(31)
@@ -203,7 +207,10 @@ class TestAutOrder:
             ]
             colors = [rng.choice([1, 2]) for _ in range(nv)]
             gph = ColoredGraph(nv, colors, edges)
-            assert canonical_form(gph)[1].size == _count_automorphisms(gph)
+            aut = canonical_form(gph)[1]
+            assert aut.size == _count_automorphisms(gph)
+            assert closure_order(aut.generators, nv) == aut.size
+            assert len(aut.generators) <= nv - 1
 
 
 class TestKnownAutSizes:

@@ -231,6 +231,15 @@ def test_enumerate_cws_above_7_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["iterative", "cws"])
+def test_enumerate_above_7_exits_2(tmp_path, capsys, strategy):
+    out = tmp_path / "DB"
+    argv = ["enumerate", "--n", "8", "--strategy", strategy, "--out", str(out)]
+    assert main(argv) == 2
+    assert "enumerate refuses n = 8 > 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):
     for path in cli_db.glob("*.jsonl"):
         shutil.copy(path, tmp_path / path.name)
