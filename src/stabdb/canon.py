@@ -20,6 +20,14 @@ rest of that branch is the automorphism's image of a searched one).  The
 same search reads off the group order, as a product of orbit sizes along
 its first path; correctness of the whole pipeline is certified
 independently by the exact counting identity in the verify module.
+
+Given keys already known, such as the classes a census has found so far,
+class_key stops at the first leaf when that leaf serializes to one of them
+(an isomorphism test, McKay & Piperno 2014).  The serialized leaf is the
+graph under a relabeling, so equal bytes prove the group is in that key's
+class, and that key is exactly what the full search would return.  Only
+the key leaves such a search: |Aut| and its generators need the whole
+tree, so canonical_form, aut_size and automorphisms never stop early.
 """
 
 from __future__ import annotations
@@ -105,10 +113,15 @@ def build_code_graph(g: StabGroup) -> ColoredGraph:
 
     Black vertices 0..2^r-1 are the span elements in Gray-code order; the
     corners of qubit j's triangle are t+3j (X), t+3j+1 (Y), t+3j+2 (Z).
+    Leaf certificates pack vertex positions into 16 bits, so a graph of
+    more than 65,535 vertices (any group of rank 16 or more) is refused.
     """
     n, r = g.n, g.r
-    if r > 18 or (1 << r) + 3 * n > 0xFFFF:
-        raise ValueError("vertex budget exceeded")
+    if (1 << r) + 3 * n > 0xFFFF:
+        raise ValueError(
+            f"vertex budget exceeded: 2^{r} + 3*{n} vertices > 65535, "
+            "the 16-bit limit of leaf certificates"
+        )
     rows = span_rows(g)
     t = len(rows)
     nverts = t + 3 * n
@@ -265,8 +278,8 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return k
 
 
-def _canonical_search(gph: ColoredGraph):
-    """Returns (best labeling, automorphism generators, automorphism order).
+def _canonical_search(gph: ColoredGraph, known=()):
+    """Returns (key, best labeling, automorphism generators, group order).
 
     The order is read off the search tree (McKay & Piperno, "Practical
     graph isomorphism II", 2014).  At each node of the first path, once its
@@ -287,6 +300,11 @@ def _canonical_search(gph: ColoredGraph):
     its path up to the node's depth, so the orbit sizes, the generated
     group and the best certificate are those of the full search, found
     with fewer generators.
+
+    known is a container of canonical keys.  When the first leaf
+    serializes to one of them, the search stops there and returns that
+    key and the first labeling, with None for the generators and the
+    order, which only the whole tree gives (see the module docstring).
     """
     adj = gph.adj
     edges = gph.edges
@@ -299,7 +317,7 @@ def _canonical_search(gph: ColoredGraph):
     root.refine(adj, [root.start[cell[0]] for cell in cells])
 
     # (certificate, labeling, individualized path) of the first and best leaves
-    first = best = None
+    first = best = first_key = None
     gens: list[tuple] = []
     gen_seen: set[tuple] = set()
     size = 1
@@ -317,13 +335,17 @@ def _canonical_search(gph: ColoredGraph):
 
     def explore(part, fixed):
         """Searches below the node; returns the depth to resume at."""
-        nonlocal size, first, best
+        nonlocal size, first, best, first_key
         depth = len(fixed)
         if part.nbig == 0:
             lab = part.labeling()
             cert = _leaf_cert(edges, lab)
             if first is None:
                 first = best = (cert, lab, fixed)
+                if known:
+                    first_key = _serialize(gph, lab, cert)
+                    if first_key in known:
+                        return -1  # every ancestor returns at once
                 return depth
             for leaf in (first, best):
                 if cert == leaf[0]:
@@ -374,20 +396,22 @@ def _canonical_search(gph: ColoredGraph):
             size *= sum(1 for u in candidates if find(u) == root_v)
         return depth
 
-    explore(root, ())
-    return best[1], gens, size
+    if explore(root, ()) < 0:
+        return first_key, first[1], None, None
+    cert, lab, _ = best
+    return _serialize(gph, lab, cert), lab, gens, size
 
 
-def _serialize(gph: ColoredGraph, lab) -> bytes:
+def _serialize(gph: ColoredGraph, lab, cert) -> bytes:
+    """The graph relabeled by lab, as bytes; cert is lab's leaf certificate."""
     inv = [0] * gph.nverts
     for v, p in enumerate(lab):
         inv[p] = v
     colors = bytes(gph.colors[inv[p]] for p in range(gph.nverts))
-    cert = _leaf_cert(gph.edges, lab)
     return (
         struct.pack(">H", gph.nverts)
         + colors
-        + b"".join(struct.pack(">I", e) for e in cert)
+        + struct.pack(f">{len(cert)}I", *cert)
     )
 
 
@@ -397,15 +421,19 @@ def canonical_form(gph: ColoredGraph) -> tuple[CanonicalKey, AutInfo]:
     The key is invariant under every color-preserving relabeling: equal
     keys exactly for isomorphic colored graphs.
     """
-    lab, gens, size = _canonical_search(gph)
-    return _serialize(gph, lab), AutInfo(size, tuple(gens))
+    key, _, gens, size = _canonical_search(gph)
+    return key, AutInfo(size, tuple(gens))
 
 
-def class_key(g: StabGroup) -> CanonicalKey:
-    """Equivalence-class identifier: equal exactly for equivalent groups."""
-    gph = build_code_graph(g)
-    lab, _, _ = _canonical_search(gph)
-    return _serialize(gph, lab)
+def class_key(g: StabGroup, known=()) -> CanonicalKey:
+    """Equivalence-class identifier: equal exactly for equivalent groups.
+
+    known is a container of class keys, such as the keys found so far in a
+    census.  The search stops at its first leaf when that leaf's bytes are
+    in it: they are a relabeled copy of g's code graph, so g lies in that
+    key's class, and the key returned is the one the full search gives.
+    """
+    return _canonical_search(build_code_graph(g), known)[0]
 
 
 def aut_size(g: StabGroup) -> int:
@@ -442,7 +470,7 @@ def automorphisms(g: StabGroup) -> tuple[LCPerm, ...]:
     They are the code graph's automorphism generators found by the
     canonical search, decoded through their action on the qubit triangles.
     """
-    _, gens, _ = _canonical_search(build_code_graph(g))
+    _, _, gens, _ = _canonical_search(build_code_graph(g))
     t = 1 << g.r
     return tuple(_lcperm_of_vertex_map(perm, g.n, t) for perm in gens)
 
@@ -460,17 +488,18 @@ def are_equivalent(a: StabGroup, b: StabGroup, witness: bool = False):
 
     With witness=True returns (flag, LCPerm or None); the returned element
     maps a onto b and is re-verified by applying it before returning.
+    b is searched knowing a's key, so an equivalent b stops at its first
+    leaf; that leaf labels b onto a's canonical image, as the witness needs.
     """
     if a.n != b.n:
         raise ValueError("groups act on different qubit counts")
-    if witness is False:
-        return class_key(a) == class_key(b)
     if a.r != b.r:
-        return False, None
-    ga, gb = build_code_graph(a), build_code_graph(b)
-    lab_a, _, _ = _canonical_search(ga)
-    lab_b, _, _ = _canonical_search(gb)
-    if _serialize(ga, lab_a) != _serialize(gb, lab_b):
+        return (False, None) if witness else False
+    key_a, lab_a, _, _ = _canonical_search(build_code_graph(a))
+    key_b, lab_b, _, _ = _canonical_search(build_code_graph(b), {key_a})
+    if not witness:
+        return key_a == key_b
+    if key_a != key_b:
         return False, None
     w = _witness_from_labelings(a, lab_a, lab_b)
     moved = apply_lcperm(a, w)

@@ -155,7 +155,7 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
         found = {}
         for entry in level:
             for cand in extend_class(entry.rep):
-                key = class_key(cand)
+                key = class_key(cand, found)
                 if key not in found:
                     found[key] = cand
         level = _sorted_entries(found)
@@ -347,7 +347,7 @@ def cws_enumerate(n: int, k: int) -> list[ClassEntry]:
     for code in _rref_matrices(n, k):
         for gs in orbits:
             g = cws_to_stabilizer(gs, code)
-            key = class_key(g)
+            key = class_key(g, found)
             if key not in found:
                 found[key] = g
     return _sorted_entries(found)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from stabdb import canon
 from stabdb.canon import (
     ColoredGraph,
     are_equivalent,
@@ -16,7 +17,7 @@ from stabdb.canon import (
     class_key,
 )
 from stabdb.pauli import StabGroup
-from stabdb.search import enumerate_classes
+from stabdb.search import enumerate_classes, extend_class
 from stabdb.transform import (
     LETTER_PERMS,
     LCPerm,
@@ -331,3 +332,48 @@ class TestAreEquivalent:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             are_equivalent(group("XX"), group("XXX"))
+
+
+class TestEarlyExit:
+    """class_key(g, known) stops at the first leaf when that leaf's bytes
+    are a known key, and must still return exactly class_key(g)."""
+
+    def test_known_keys_never_change_the_key(self, full_enumeration):
+        for n in range(1, 6):
+            classes = full_enumeration[n]["classes"]
+            for k in range(n, 0, -1):
+                parent_keys = {e.key for e in classes[(n, k)]}
+                level_keys = {e.key for e in classes[(n, k - 1)]}
+                found = set()  # as enumerate_classes passes them
+                for entry in classes[(n, k)]:
+                    for cand in extend_class(entry.rep):
+                        key = class_key(cand)
+                        assert class_key(cand, found) == key
+                        assert class_key(cand, level_keys) == key
+                        # another cell's keys: a different vertex count
+                        assert class_key(cand, parent_keys) == key
+                        found.add(key)
+                assert found == level_keys
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            group("XXXXXXX", *("I" * j + "ZZ" + "I" * (5 - j) for j in range(6))),
+            group(*("I" * j + "Z" + "I" * (6 - j) for j in range(7))),
+        ],
+        ids=["ghz7", "all_z7"],
+    )
+    def test_known_key_searches_less(self, g, monkeypatch):
+        calls = []
+        refine = canon._Partition.refine
+
+        def counted(self, adj, worklist):
+            calls.append(1)
+            return refine(self, adj, worklist)
+
+        monkeypatch.setattr(canon._Partition, "refine", counted)
+        key = class_key(g)
+        full = len(calls)
+        calls.clear()
+        assert class_key(g, {key}) == key
+        assert len(calls) < full

@@ -216,6 +216,13 @@ def test_props_oversized_group_exits_2(capsys):
     assert "enumeration guard" in capsys.readouterr().err
 
 
+def test_canon_rank_16_exits_2(capsys):
+    # 2^16 black vertices overflow the 16-bit leaf certificates
+    gens = ";".join("I" * j + "Z" + "I" * (15 - j) for j in range(16))
+    assert main(["canon", "--gens", gens]) == 2
+    assert "vertex budget exceeded" in capsys.readouterr().err
+
+
 def test_props_css_guard_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
     assert main(["props", "--gens", "XZZXI;IXZZX;XIXZZ;ZXIXZ"]) == 2

@@ -107,7 +107,9 @@ def test_extension_work_counts(monkeypatch):
     # one class_key per orbit of extensions, plus one for the trivial group
     calls = []
     monkeypatch.setattr(
-        search, "class_key", lambda g: calls.append(g) or class_key(g)
+        search,
+        "class_key",
+        lambda g, known=(): calls.append(g) or class_key(g, known),
     )
     for n, want in ((4, 90), (5, 445)):
         calls.clear()
