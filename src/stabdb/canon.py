@@ -15,10 +15,16 @@ The canonical labeler is a small individualization-refinement search:
 equitable refinement of ordered partitions, branching on the first smallest
 non-singleton cell, leaf certificates compared to keep a canonical image,
 discovered automorphisms pruning sibling branches orbit-wise, and a jump
-back to the deepest common ancestor after every automorphism leaf (the
-rest of that branch is the automorphism's image of a searched one).  The
-same search reads off the group order, as a product of orbit sizes along
-its first path; correctness of the whole pipeline is certified
+back to the deepest common ancestor after every automorphism found (the
+rest of that branch is the automorphism's image of a searched one).
+Automorphisms are found at internal nodes too: a node whose partition is
+the image of the first path's node at its depth under a map that sends
+every edge to an edge is that map's image of the first path, so its first
+leaf would match the first leaf.  The node records the map and jumps back
+at once; one edge-membership pass replaces the descent and the sorted leaf
+certificate, and the search returns exactly what it did without the cut.
+The same search reads off the group order, as a product of orbit sizes
+along its first path; correctness of the whole pipeline is certified
 independently by the exact counting identity in the verify module.
 
 Given keys already known, such as the classes a census has found so far,
@@ -301,6 +307,19 @@ def _canonical_search(gph: ColoredGraph, known=()):
     group and the best certificate are those of the full search, found
     with fewer generators.
 
+    Most such leaves are caught before the search reaches them.  Once the
+    first leaf is known, take a node whose cells end where those of the
+    first path's node at the same depth end, and let sigma send the vertex
+    at each position of that first-path node to the vertex at the same
+    position here.  If sigma maps every edge to an edge, it is an
+    automorphism; refinement commutes with it, so the node's first leaf is
+    sigma's image of the first leaf, with the same certificate.  The
+    search would descend to that leaf, record sigma and return the common
+    prefix with the first path; the node does both at once, checking
+    edges instead of sorting a certificate.  So the generators, in order,
+    the order and the key cannot change, and _leaf_cert runs only at the
+    first leaf and at leaves that no such node catches.
+
     known is a container of canonical keys.  When the first leaf
     serializes to one of them, the search stops there and returns that
     key and the first labeling, with None for the generators and the
@@ -318,17 +337,15 @@ def _canonical_search(gph: ColoredGraph, known=()):
 
     # (certificate, labeling, individualized path) of the first and best leaves
     first = best = first_key = None
+    first_parts = []  # the first path's partitions, by depth
+    edge_codes = {u * nverts + v for u, v in edges}
+    edge_codes.update(v * nverts + u for u, v in edges)
     gens: list[tuple] = []
     gen_seen: set[tuple] = set()
     size = 1
 
-    def record_aut(lab_a, lab_b):
-        # lab_a and lab_b index the same canonical image: their quotient is
-        # an automorphism
-        inv_b = [0] * nverts
-        for v, p in enumerate(lab_b):
-            inv_b[p] = v
-        perm = tuple(inv_b[lab_a[v]] for v in range(nverts))
+    def record_aut(perm):
+        perm = tuple(perm)
         if any(perm[i] != i for i in range(nverts)) and perm not in gen_seen:
             gen_seen.add(perm)
             gens.append(perm)
@@ -337,6 +354,16 @@ def _canonical_search(gph: ColoredGraph, known=()):
         """Searches below the node; returns the depth to resume at."""
         nonlocal size, first, best, first_key
         depth = len(fixed)
+        if first is None:
+            first_parts.append(part)
+        elif depth < len(first_parts) and part.end == first_parts[depth].end:
+            # sigma sends each first-path vertex to the one at its position here
+            sigma = [0] * nverts
+            for a, b in zip(first_parts[depth].order, part.order):
+                sigma[a] = b
+            if all(sigma[u] * nverts + sigma[v] in edge_codes for u, v in edges):
+                record_aut(sigma)
+                return _common_prefix(fixed, first[2])
         if part.nbig == 0:
             lab = part.labeling()
             cert = _leaf_cert(edges, lab)
@@ -349,7 +376,7 @@ def _canonical_search(gph: ColoredGraph, known=()):
                 return depth
             for leaf in (first, best):
                 if cert == leaf[0]:
-                    record_aut(leaf[1], lab)
+                    record_aut([part.order[p] for p in leaf[1]])
                     return _common_prefix(fixed, leaf[2])
             if cert < best[0]:
                 best = (cert, lab, fixed)
@@ -396,7 +423,9 @@ def _canonical_search(gph: ColoredGraph, known=()):
             size *= sum(1 for u in candidates if find(u) == root_v)
         return depth
 
-    if explore(root, ()) < 0:
+    stopped = explore(root, ()) < 0
+    del explore  # it refers to itself: free the search state now
+    if stopped:
         return first_key, first[1], None, None
     cert, lab, _ = best
     return _serialize(gph, lab, cert), lab, gens, size

@@ -44,8 +44,8 @@ __all__ = [
 DISTANCE_MAX_BITS = 24
 
 # Nodes the CSS search may visit before it refuses, as the distance guard
-# does: about 200 times the most any class representative on up to 7 qubits
-# needs (5,263).
+# does: about 1,300 times the most any class representative on up to 7
+# qubits needs (803).
 CSS_MAX_NODES = 1 << 20
 
 _CYCLE = LETTER_NAMES.index("R")  # X -> Y -> Z -> X
@@ -187,11 +187,16 @@ def css_representative(g: StabGroup):
     Searches the 6^n per-qubit letter permutations depth first in odometer
     order (qubit 0 first, gates in order I, H, S, R, Ri, V) and returns the
     first (LocalClifford, transformed group) passing the rank split test.
-    Each qubit adds its new X and Z columns to two incremental GF(2) bases;
-    since rank(X) + rank(Z) never falls below r and only grows as columns
-    are added, a branch is cut once the sum exceeds r.  Qubit permutations
-    never help, so none are tried.  Raises ValueError once the search
-    visits more than CSS_MAX_NODES nodes.
+    Each qubit adds its new X and Z columns to two incremental GF(2) bases.
+    A branch over qubits 0..j-1 is cut once rank(X) + rank(Z) there exceeds
+    R_j, the rank of the group restricted to those qubits, which no letter
+    permutation changes.  The cut is exact: the generator combinations
+    that vanish on the prefix span r - R_j dimensions and stay independent
+    on the suffix, so the final sum is at least the prefix sum plus
+    r - R_j, above r, while a witness needs exactly r.  The order of the
+    odometer is unchanged, so the first witness is too.  Qubit
+    permutations never help, so none are tried.  Raises ValueError once
+    the search visits more than CSS_MAX_NODES nodes.
     """
     n, r = g.n, g.r
     if r == 0:
@@ -204,6 +209,9 @@ def css_representative(g: StabGroup):
             cx |= ((row >> j) & 1) << i
             cz |= ((row >> (n + j)) & 1) << i
         cols.append({"x": cx, "z": cz, "xz": cx ^ cz})
+    # bound[j]: rank of the group restricted to qubits 0..j-1
+    bound = [_rank_of_rows([c for col in cols[:j] for c in (col["x"], col["z"])])
+             for j in range(n + 1)]
     gates = []
     nodes = 0
 
@@ -223,7 +231,7 @@ def css_representative(g: StabGroup):
             raise ValueError(f"CSS search over {CSS_MAX_NODES} nodes exceeds its guard")
         if j == n:
             return True
-        room = r - len(basis_x) - len(basis_z)
+        room = bound[j + 1] - len(basis_x) - len(basis_z)
         red_x = reduced(basis_x, cols[j])
         red_z = reduced(basis_z, cols[j])
         for gate in range(6):
@@ -241,7 +249,9 @@ def css_representative(g: StabGroup):
             gates.pop()
         return False
 
-    if not search(0, [], []):
+    found = search(0, [], [])
+    del search  # it refers to itself: free the search state now
+    if not found:
         return None
     w = LocalClifford(gates)
     return w, apply_local_clifford(g, w)

@@ -1,5 +1,7 @@
 """Code graphs, canonical keys, automorphism orders, equivalence witnesses."""
 
+import gc
+import hashlib
 import itertools
 import math
 import random
@@ -31,6 +33,25 @@ from util import closure_order, random_stab_group
 
 def group(*strings, n=None):
     return StabGroup.from_strings(strings, n=n)
+
+
+def _cycle7_row(j):
+    letters = ["I"] * 7
+    letters[j] = "X"
+    letters[(j - 1) % 7] = letters[(j + 1) % 7] = "Z"
+    return "".join(letters)
+
+
+# seven-qubit codes with large automorphism groups
+N7_CODES = {
+    "ghz7": group("XXXXXXX", *("I" * j + "ZZ" + "I" * (5 - j) for j in range(6))),
+    "all_z7": group(*("I" * j + "Z" + "I" * (6 - j) for j in range(7))),
+    "steane": group(
+        "IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"
+    ),
+    "cycle7": group(*(_cycle7_row(j) for j in range(7))),
+    "repetition7": group(*("I" * j + "ZZ" + "I" * (5 - j) for j in range(6))),
+}
 
 
 class TestBuildCodeGraph:
@@ -356,12 +377,7 @@ class TestEarlyExit:
                 assert found == level_keys
 
     @pytest.mark.parametrize(
-        "g",
-        [
-            group("XXXXXXX", *("I" * j + "ZZ" + "I" * (5 - j) for j in range(6))),
-            group(*("I" * j + "Z" + "I" * (6 - j) for j in range(7))),
-        ],
-        ids=["ghz7", "all_z7"],
+        "g", [N7_CODES["ghz7"], N7_CODES["all_z7"]], ids=["ghz7", "all_z7"]
     )
     def test_known_key_searches_less(self, g, monkeypatch):
         calls = []
@@ -377,3 +393,53 @@ class TestEarlyExit:
         calls.clear()
         assert class_key(g, {key}) == key
         assert len(calls) < full
+
+
+class TestExactPruning:
+    """A node whose partition is an automorphism's image of the first
+    path's node at its depth is cut with no leaf certificate; the search
+    must return exactly what the unpruned one does."""
+
+    def test_outputs_pinned(self, full_enumeration):
+        # key, |Aut| and the generator tuples, in order, of the search that
+        # descends to every automorphism leaf and sorts its certificate
+        reps = [
+            e.rep
+            for n in range(1, 6)
+            for cell in sorted(full_enumeration[n]["classes"])
+            for e in full_enumeration[n]["classes"][cell]
+        ]
+        digest = hashlib.sha256()
+        for g in reps + list(N7_CODES.values()):
+            key, aut = canonical_form(build_code_graph(g))
+            digest.update(repr((key, aut.size, aut.generators)).encode())
+        assert digest.hexdigest() == (
+            "487fdebb7151fc36c6225264781a498720552ac118b24a386e9e21dab568013d"
+        )
+
+    @pytest.mark.parametrize("name", sorted(N7_CODES))
+    def test_one_leaf_cert_per_search(self, name, monkeypatch):
+        calls = []
+        leaf_cert = canon._leaf_cert
+
+        def counted(edges, lab):
+            calls.append(1)
+            return leaf_cert(edges, lab)
+
+        monkeypatch.setattr(canon, "_leaf_cert", counted)
+        rng = random.Random(43)
+        g = N7_CODES[name]
+        for h in [g] + [apply_lcperm(g, random_lcperm(7, rng)) for _ in range(10)]:
+            calls.clear()
+            canonical_form(build_code_graph(h))
+            assert len(calls) == 1
+
+    def test_search_leaves_no_garbage(self):
+        gph = build_code_graph(N7_CODES["ghz7"])
+        gc.collect()
+        gc.disable()
+        try:
+            canonical_form(gph)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,6 +1,7 @@
 """Invariant computations checked against the known classification rows,
 brute-force oracles, and transformation invariance."""
 
+import gc
 import itertools
 import random
 import time
@@ -197,6 +198,33 @@ def test_css_search_is_bounded(monkeypatch):
     monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
     with pytest.raises(ValueError, match="CSS search over 10 nodes"):
         css_representative(group_from_row(PERFECT_513_ROW))
+
+
+def _all_z7_images(count):
+    zero = StabGroup.from_strings(["I" * j + "Z" + "I" * (6 - j) for j in range(7)])
+    rng = random.Random(47)
+    return [apply_lcperm(zero, random_lcperm(7, rng)) for _ in range(count)]
+
+
+def test_css_prefix_bound_walks_one_path(monkeypatch):
+    # an image of |0>^7 has rank j on its first j qubits, so the bound
+    # admits only the letter maps that keep each qubit's one letter out of
+    # Y, and every node it admits leads to a witness: n + 1 nodes in all
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 8)
+    for g in _all_z7_images(20):
+        w, image = css_representative(g)
+        assert css_rank_test(image)
+
+
+def test_css_search_leaves_no_garbage():
+    g = _all_z7_images(1)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        css_representative(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_css_witness_is_first_odometer_hit():
