@@ -7,6 +7,8 @@ diffs are line diffs.
 """
 
 import json
+import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin
@@ -158,6 +160,10 @@ def _cell_path(directory, n: int, k: int) -> Path:
     return Path(directory) / f"codes_n{n}_k{k}.jsonl"
 
 
+# exactly the names _cell_path gives, so no other file is taken for a cell
+_CELL_NAME = re.compile(r"codes_n(0|[1-9][0-9]*)_k(0|[1-9][0-9]*)\.jsonl")
+
+
 def write_db(records: dict, directory) -> list:
     """Write one codes_n{n}_k{k}.jsonl file per cell of records.
 
@@ -205,12 +211,10 @@ class Database:
         self._cache = {}
 
     def cells(self) -> list:
-        found = []
-        for path in self.directory.glob("codes_n*_k*.jsonl"):
-            stem = path.stem.removeprefix("codes_n")
-            ns, ks = stem.split("_k")
-            found.append((int(ns), int(ks)))
-        return sorted(found)
+        """The (n, k) of every file named as write_db names a cell; other
+        files, such as a backup codes_n3_k1_old.jsonl, are ignored."""
+        matches = map(_CELL_NAME.fullmatch, os.listdir(self.directory))
+        return sorted((int(m[1]), int(m[2])) for m in matches if m)
 
     def records(self, n: int, k: int) -> list:
         if (n, k) not in self._cache:

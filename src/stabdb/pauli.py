@@ -22,6 +22,7 @@ __all__ = [
     "format_pauli",
     "symplectic_product",
     "span_rows",
+    "check_span",
     "centralizer",
     "logical_rows",
 ]
@@ -145,14 +146,19 @@ def span_rows(g: StabGroup) -> list[int]:
     """
     rows = g.gens.rows
     r = len(rows)
-    if r > 18:
-        raise ValueError(f"span of 2^{r} elements exceeds the enumeration guard")
+    check_span(r)
     walk = [0] * (1 << r)
     cur = 0
     for t in range(1, 1 << r):
         cur ^= rows[(t & -t).bit_length() - 1]
         walk[t] = cur
     return walk
+
+
+def check_span(r: int) -> None:
+    """Refuse a span of more than 2^18 elements, as user input can ask for."""
+    if r > 18:
+        raise ValueError(f"span of 2^{r} elements exceeds the enumeration guard")
 
 
 def centralizer(g: StabGroup) -> BitMatrix:

@@ -1,7 +1,9 @@
 """Per-class invariants: distance, enumerators, structure flags.
 
-Everything here is computed exactly by enumeration over spans, centralizer
-cosets, or small per-qubit search spaces.  Weight, distance, evenness,
+Everything here is computed exactly: distance, weight enumerator and
+degeneracy by one bit-sliced weight count over every product of a row list,
+evenness from the generators' parities, and the CSS / GF(4) flags by
+searches over small per-qubit spaces.  Weight, distance, evenness,
 decomposition length and the CSS / GF(4) flags are all invariant under the
 local-Clifford + permutation action, which the test suite checks by acting
 with random symmetries.
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref
-from .pauli import StabGroup, logical_rows, span_rows
+from .pauli import StabGroup, check_span, logical_rows
 from .transform import (
     _NEWX_SRC,
     _NEWZ_SRC,
@@ -38,10 +40,14 @@ __all__ = [
     "decompose",
 ]
 
-# The distance search walks 2^(2k + r) operators; like span_rows' 2^18
-# guard, this one bounds the work on user input and admits every group on
-# up to 12 qubits.
+# The distance search covers 2^(2k + r) operators in chunks of
+# 2^_SLICE_BITS, so this guard bounds it at 2^(24 - 16) = 256 chunks; it
+# admits every group on up to 12 qubits.
 DISTANCE_MAX_BITS = 24
+
+# _weight_slices handles 2^_SLICE_BITS products per chunk: every bit plane
+# holds at most 8 KB.
+_SLICE_BITS = 16
 
 # Nodes the CSS search may visit before it refuses, as the distance guard
 # does: about 1,300 times the most any class representative on up to 7
@@ -49,6 +55,14 @@ DISTANCE_MAX_BITS = 24
 CSS_MAX_NODES = 1 << 20
 
 _CYCLE = LETTER_NAMES.index("R")  # X -> Y -> Z -> X
+
+# (gate, source of its new X column, source of its new Z column), the
+# sources numbered 0 = x, 1 = z, 2 = x ^ z
+_SOURCES = ("x", "z", "xz")
+_GATE_SOURCES = tuple(
+    (gate, _SOURCES.index(sx), _SOURCES.index(sz))
+    for gate, (sx, sz) in enumerate(zip(_NEWX_SRC, _NEWZ_SRC))
+)
 
 
 @dataclass(frozen=True)
@@ -94,17 +108,79 @@ class DecompReport:
         return len(self.trivial_qubits) + len(self.factors) >= 2
 
 
-def _weight(row: int, n: int, mask: int) -> int:
-    return ((row | (row >> n)) & mask).bit_count()
+def _weight_slices(rows, n: int):
+    """Bit-sliced weights of all 2^m products of m packed rows, by chunks.
+
+    Product u is the XOR of rows[i] over the set bits i of u.  The first
+    c = min(m, _SLICE_BITS) rows number the 2^c products of a chunk: for
+    each qubit j, bit u of two planes holds the X and Z bit of product u at
+    j.  The planes are built by doubling, one row at a time: the products
+    with bit i set are those without it times rows[i], so the plane is
+    shifted up over itself, complemented where rows[i] has that bit.  The
+    other rows are walked in Gray order; each step multiplies every product
+    of the chunk by one row, so a chunk's planes are the low planes, each
+    complemented where the chunk's high product h has its bit.  Folding the
+    supports x | z in one qubit at a time with
+    at_least[w] |= at_least[w - 1] & support, from w = j + 1 down to 1,
+    leaves bit u of at_least[w] set exactly when product u weighs at least
+    w.  Yields (base, at_least) per chunk, where base is the number of the
+    chunk's product 0 and at_least has n + 2 entries, the last one 0.
+    Nothing is approximated: every product's weight is counted exactly.
+    """
+    c = min(len(rows), _SLICE_BITS)
+    ones = (1 << (1 << c)) - 1
+    xs = [0] * n
+    zs = [0] * n
+    for i, row in enumerate(rows[:c]):
+        half = 1 << i
+        flip = (1 << half) - 1
+        for j in range(n):
+            x, z = xs[j], zs[j]
+            xs[j] = x | (x ^ flip if row >> j & 1 else x) << half
+            zs[j] = z | (z ^ flip if row >> (n + j) & 1 else z) << half
+    high = gray = 0
+    for t in range(1 << (len(rows) - c)):
+        if t:
+            i = (t & -t).bit_length() - 1
+            high ^= rows[c + i]
+            gray ^= 1 << i
+        at_least = [ones] + [0] * (n + 1)
+        for j in range(n):
+            x = xs[j] ^ ones if high >> j & 1 else xs[j]
+            z = zs[j] ^ ones if high >> (n + j) & 1 else zs[j]
+            support = x | z
+            for w in range(j + 1, 0, -1):
+                at_least[w] |= at_least[w - 1] & support
+        yield gray << c, at_least
+
+
+def _least_weight(rows, n: int, first: int) -> int:
+    """Least weight among the products of rows numbered first and up (see
+    _weight_slices); none of those may be the identity.  Stops at weight 1,
+    which no product can beat."""
+    best = n + 1
+    for base, at_least in _weight_slices(rows, n):
+        skip = first - base
+        valid = at_least[0] >> skip << skip if skip > 0 else at_least[0]
+        best = next((w for w in range(1, best) if valid & ~at_least[w + 1]), best)
+        if best == 1:
+            break
+    return best
 
 
 def weight_enumerator(g: StabGroup) -> WeightEnum:
-    """Exact weight distribution of all 2^r group elements."""
+    """Exact weight distribution of all 2^r group elements.
+
+    The elements are the 2^r products of the generators, each once, and
+    _weight_slices marks each with its exact weight: coeffs[w] counts the
+    products that weigh at least w but not w + 1.
+    """
     n = g.n
-    mask = (1 << n) - 1
+    check_span(g.r)
     coeffs = [0] * (n + 1)
-    for row in span_rows(g):
-        coeffs[_weight(row, n, mask)] += 1
+    for _, at_least in _weight_slices(g.gens.rows, n):
+        for w in range(n + 1):
+            coeffs[w] += (at_least[w] ^ at_least[w + 1]).bit_count()
     return WeightEnum(tuple(coeffs))
 
 
@@ -113,11 +189,17 @@ def distance(g: StabGroup) -> int:
 
     For k > 0 this is the minimum weight over operators commuting with the
     group but outside it; for k = 0 the minimum nonzero weight inside the
-    group; the trivial group gets distance 1.  Raises ValueError when the
-    search would walk more than 2^DISTANCE_MAX_BITS operators.
+    group; the trivial group gets distance 1.  Both are exact minima over
+    products of one row list.  For k = 0 the rows are the generators, and
+    the products numbered 1 and up are the group's nonidentity elements.
+    For k > 0 the rows are the generators followed by the 2k logical_rows,
+    which complete them to a basis of the centralizer; with the generators
+    in the low r bits, the products numbered 2^r and up are exactly the
+    centralizer elements with a nonzero logical part, that is, those
+    outside the group.  Raises ValueError when the search would cover more
+    than 2^DISTANCE_MAX_BITS operators or the group has more than 2^18
+    elements.
     """
-    n = g.n
-    mask = (1 << n) - 1
     if g.r == 0:
         return 1
     bits = 2 * g.k + g.r
@@ -125,46 +207,38 @@ def distance(g: StabGroup) -> int:
         raise ValueError(
             f"distance search over 2^{bits} operators exceeds the enumeration guard"
         )
-    span = span_rows(g)
+    check_span(g.r)
     if g.k == 0:
-        return min(_weight(row, n, mask) for row in span if row)
-    logicals = logical_rows(g)
-    best = 2 * n
-    cur = 0
-    for t in range(1, 1 << len(logicals)):
-        cur ^= logicals[(t & -t).bit_length() - 1]
-        for s in span:
-            w = _weight(cur ^ s, n, mask)
-            if w < best:
-                best = w
-    return best
+        return _least_weight(g.gens.rows, g.n, 1)
+    return _least_weight(g.gens.rows + logical_rows(g), g.n, 1 << g.r)
 
 
 def is_degenerate(g: StabGroup, d: int | None = None) -> bool:
     """Whether some nonidentity group element weighs less than the distance.
 
-    Only defined meaningfully for k > 0; k = 0 returns False.  A caller that
-    already knows the distance passes it as d to skip the search.
+    Only defined meaningfully for k > 0; k = 0 returns False.  The least
+    element weight is the exact k = 0 distance computation on the
+    generators.  A caller that already knows the distance passes it as d to
+    skip the search.
     """
     if g.k == 0 or g.r == 0:
         return False
-    n = g.n
-    mask = (1 << n) - 1
-    min_stab = min(_weight(row, n, mask) for row in span_rows(g) if row)
+    check_span(g.r)
+    min_stab = _least_weight(g.gens.rows, g.n, 1)
     return min_stab < (distance(g) if d is None else d)
 
 
 def is_even(g: StabGroup) -> bool:
-    """Whether the even-weight elements span the whole group.
+    """Whether every group element has even weight.
 
-    For commuting phase-free Paulis wt(ab) = wt(a) + wt(b) (mod 2), so the
-    even elements form a subgroup; the group has an all-even generating set
-    exactly when that subgroup is everything.
+    For commuting phase-free Paulis wt(ab) = wt(a) + wt(b) (mod 2), so
+    weight parity is a homomorphism from the group to Z/2 and the even
+    elements form its kernel.  The kernel is the whole group exactly when
+    it holds every generator, so reading the generators' parities is exact.
     """
     n = g.n
     mask = (1 << n) - 1
-    even_rows = [row for row in span_rows(g) if _weight(row, n, mask) % 2 == 0]
-    return _rank_of_rows(even_rows) == g.r
+    return all(((row | row >> n) & mask).bit_count() % 2 == 0 for row in g.gens.rows)
 
 
 def css_rank_test(g: StabGroup) -> bool:
@@ -188,15 +262,19 @@ def css_representative(g: StabGroup):
     order (qubit 0 first, gates in order I, H, S, R, Ri, V) and returns the
     first (LocalClifford, transformed group) passing the rank split test.
     Each qubit adds its new X and Z columns to two incremental GF(2) bases.
-    A branch over qubits 0..j-1 is cut once rank(X) + rank(Z) there exceeds
-    R_j, the rank of the group restricted to those qubits, which no letter
-    permutation changes.  The cut is exact: the generator combinations
-    that vanish on the prefix span r - R_j dimensions and stay independent
-    on the suffix, so the final sum is at least the prefix sum plus
-    r - R_j, above r, while a witness needs exactly r.  The order of the
-    odometer is unchanged, so the first witness is too.  Qubit
-    permutations never help, so none are tried.  Raises ValueError once
-    the search visits more than CSS_MAX_NODES nodes.
+    A letter permutation draws each new column from the qubit's x, z or
+    x ^ z column, so a node reduces x and z against each basis, four
+    reductions in all.  Each basis vector is reduced against those before it, so
+    reduction is linear, and the reduced x ^ z is exactly the XOR of the
+    reduced x and z.  A branch over qubits 0..j-1 is cut once rank(X) +
+    rank(Z) there exceeds R_j, the rank of the group restricted to those
+    qubits, which no letter permutation changes.  The cut is exact: the
+    generator combinations that vanish on the prefix span r - R_j dimensions
+    and stay independent on the suffix, so the final sum is at least the
+    prefix sum plus r - R_j, above r, while a witness needs exactly r.  The
+    order of the odometer is unchanged, so the first witness is too.  Qubit
+    permutations never help, so none are tried.  Raises ValueError once the
+    search visits more than CSS_MAX_NODES nodes.
     """
     n, r = g.n, g.r
     if r == 0:
@@ -208,21 +286,25 @@ def css_representative(g: StabGroup):
         for i, row in enumerate(g.gens.rows):
             cx |= ((row >> j) & 1) << i
             cz |= ((row >> (n + j)) & 1) << i
-        cols.append({"x": cx, "z": cz, "xz": cx ^ cz})
+        cols.append((cx, cz))
+
+    def reduced(basis, v):
+        for b in basis:
+            if v & (b & -b):
+                v ^= b
+        return v
+
     # bound[j]: rank of the group restricted to qubits 0..j-1
-    bound = [_rank_of_rows([c for col in cols[:j] for c in (col["x"], col["z"])])
-             for j in range(n + 1)]
+    bound = [0]
+    prefix = []
+    for col in cols:
+        for v in col:
+            v = reduced(prefix, v)
+            if v:
+                prefix.append(v)
+        bound.append(len(prefix))
     gates = []
     nodes = 0
-
-    def reduced(basis, col):
-        out = {}
-        for src, v in col.items():
-            for b in basis:
-                if v & (b & -b):
-                    v ^= b
-            out[src] = v
-        return out
 
     def search(j, basis_x, basis_z):
         nonlocal nodes
@@ -232,11 +314,14 @@ def css_representative(g: StabGroup):
         if j == n:
             return True
         room = bound[j + 1] - len(basis_x) - len(basis_z)
-        red_x = reduced(basis_x, cols[j])
-        red_z = reduced(basis_z, cols[j])
-        for gate in range(6):
-            vx = red_x[_NEWX_SRC[gate]]
-            vz = red_z[_NEWZ_SRC[gate]]
+        cx, cz = cols[j]
+        xx, xz = reduced(basis_x, cx), reduced(basis_x, cz)
+        zx, zz = reduced(basis_z, cx), reduced(basis_z, cz)
+        red_x = (xx, xz, xx ^ xz)
+        red_z = (zx, zz, zx ^ zz)
+        for gate, src_x, src_z in _GATE_SOURCES:
+            vx = red_x[src_x]
+            vz = red_z[src_z]
             if (vx != 0) + (vz != 0) > room:
                 continue
             gates.append(gate)

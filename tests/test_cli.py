@@ -169,6 +169,18 @@ def test_query_filters(cli_db, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_query_ignores_stray_files(cli_db, tmp_path, capsys):
+    for path in cli_db.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    shutil.copy(cli_db / "codes_n2_k0.jsonl", tmp_path / "codes_n2_k0_old.jsonl")
+    argv = ["query", "--db", str(tmp_path), "--n", "2", "--k", "0"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    # a missing directory is an error, not an empty database
+    assert main(["query", "--db", str(tmp_path / "absent")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_cws_conversions(capsys):
     assert main(["cws", "--to-cws", "--gens", "XX;ZZ"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -174,6 +174,16 @@ def test_database_cells(db3):
     assert Database(directory).cells() == [(3, k) for k in range(4)]
 
 
+def test_database_cells_ignore_stray_files(db3, tmp_path):
+    # a backup next to the cells, or a name write_db never gives, is no cell
+    directory, _ = db3
+    for path in directory.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    for name in ("codes_n3_k1_old.jsonl", "codes_n03_k1.jsonl", "codes_n3_k1.jsonl.bak"):
+        shutil.copy(directory / "codes_n3_k1.jsonl", tmp_path / name)
+    assert Database(tmp_path).cells() == [(3, k) for k in range(4)]
+
+
 def test_query_conjunctive_and_ordered(db3):
     directory, records = db3
     db = Database(directory)

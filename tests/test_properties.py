@@ -5,6 +5,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -41,9 +42,12 @@ from reference_data import (
 from util import (
     brute_distance,
     brute_gf4_representative,
+    coset_distance,
     packed_weight,
     random_stab_group,
     reembed,
+    span_is_even,
+    span_weight_enumerator,
 )
 
 # ---------------------------------------------------------------- reference
@@ -107,6 +111,66 @@ def test_distance_search_is_bounded():
         distance(g)
     with pytest.raises(ValueError, match="enumeration guard"):
         is_degenerate(g)
+
+
+@pytest.fixture(scope="module")
+def weight_oracles(full_enumeration):
+    """(group, distance, weight enumerator, degenerate, even) by the span and
+    coset walks, for every n <= 5 class representative and 300 seeded
+    random groups on up to 9 qubits."""
+    groups = [
+        e.rep
+        for n in range(1, 6)
+        for entries in full_enumeration[n]["classes"].values()
+        for e in entries
+    ]
+    rng = random.Random(53)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        groups.append(random_stab_group(n, rng.randint(0, n), rng))
+    out = []
+    for g in groups:
+        d = coset_distance(g)
+        coeffs = span_weight_enumerator(g)
+        least = next((w for w, c in enumerate(coeffs) if w and c), None)
+        degenerate = g.k > 0 and least is not None and least < d
+        out.append((g, d, coeffs, degenerate, span_is_even(g)))
+    return out
+
+
+@pytest.mark.parametrize("slice_bits", [None, 2])
+def test_weight_invariants_match_walks(weight_oracles, monkeypatch, slice_bits):
+    # with 2-bit chunks every group of rank 3 or more takes the
+    # multi-chunk path
+    if slice_bits is not None:
+        monkeypatch.setattr(properties, "_SLICE_BITS", slice_bits)
+    for g, d, coeffs, degenerate, even in weight_oracles:
+        assert distance(g) == d, g
+        assert weight_enumerator(g).coeffs == coeffs, g
+        assert is_degenerate(g) == degenerate, g
+        assert is_even(g) == even, g
+
+
+def test_distance_over_two_chunks_matches_brute_force():
+    # 2k + r = 17 rows: two chunks of 2^16 products
+    g = random_stab_group(9, 1, random.Random(59))
+    assert 2 * g.k + g.r == 17
+    assert distance(g) == brute_distance(g)
+
+
+def test_distance_at_the_guard_is_fast_and_small():
+    # 2k + r = 24, the most the guard admits: 2^24 operators in 256 chunks
+    g = random_stab_group(16, 8, random.Random(3))
+    start = time.perf_counter()
+    assert distance(g) == 2
+    assert time.perf_counter() - start < 2.0
+    tracemalloc.start()
+    try:
+        distance(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_degeneracy_examples():

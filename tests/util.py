@@ -3,7 +3,7 @@
 import itertools
 
 from stabdb.f2core import BitMatrix, rank, reduce_row, rref
-from stabdb.pauli import StabGroup, span_rows, symplectic_product
+from stabdb.pauli import StabGroup, logical_rows, span_rows, symplectic_product
 from stabdb.transform import LocalClifford
 
 
@@ -81,6 +81,39 @@ def brute_distance(g: StabGroup) -> int:
         if best is None or w < best:
             best = w
     return best
+
+
+def coset_distance(g: StabGroup) -> int:
+    """Distance by walking every logical coset of the span: the nonzero
+    combinations of logical_rows in Gray order, each XORed with all 2^r
+    span elements (k = 0: the nonzero span elements)."""
+    n = g.n
+    if g.r == 0:
+        return 1
+    span = span_rows(g)
+    if g.k == 0:
+        return min(packed_weight(row, n) for row in span if row)
+    logicals = logical_rows(g)
+    best = 2 * n
+    cur = 0
+    for t in range(1, 1 << len(logicals)):
+        cur ^= logicals[(t & -t).bit_length() - 1]
+        best = min(best, min(packed_weight(cur ^ s, n) for s in span))
+    return best
+
+
+def span_weight_enumerator(g: StabGroup) -> tuple:
+    """coeffs[w] by weighing each of the 2^r span elements."""
+    coeffs = [0] * (g.n + 1)
+    for row in span_rows(g):
+        coeffs[packed_weight(row, g.n)] += 1
+    return tuple(coeffs)
+
+
+def span_is_even(g: StabGroup) -> bool:
+    """Whether the even-weight span elements have the group's rank."""
+    even = [row for row in span_rows(g) if packed_weight(row, g.n) % 2 == 0]
+    return rank(BitMatrix(2 * g.n, even)) == g.r
 
 
 def reembed(report, n: int) -> StabGroup:
