@@ -34,11 +34,20 @@ graph under a relabeling, so equal bytes prove the group is in that key's
 class, and that key is exactly what the full search would return.  Only
 the key leaves such a search: |Aut| and its generators need the whole
 tree, so canonical_form, aut_size and automorphisms never stop early.
+
+A group object is searched at most once.  The functions that take a
+StabGroup share one entry point that remembers each full search (key,
+labeling, generators, order) for as long as the group object lives, so
+the search that found a census class also answers automorphisms for its
+extensions and canonical_form for its record.  A search stopped at a
+known key is not remembered (it has no generators), and neither is a
+search of a bare ColoredGraph.
 """
 
 from __future__ import annotations
 
 import struct
+import weakref
 from collections import deque
 from dataclasses import dataclass
 
@@ -223,7 +232,7 @@ class _Partition:
         order, start, end = self.order, self.start, self.end
         queue = deque(worklist)
         inq = set(queue)
-        while queue:
+        while queue and self.nbig:  # a discrete partition cannot split
             w = queue.popleft()
             inq.discard(w)
             cnt = {}
@@ -428,7 +437,7 @@ def _canonical_search(gph: ColoredGraph, known=()):
     if stopped:
         return first_key, first[1], None, None
     cert, lab, _ = best
-    return _serialize(gph, lab, cert), lab, gens, size
+    return _serialize(gph, lab, cert), tuple(lab), tuple(gens), size
 
 
 def _serialize(gph: ColoredGraph, lab, cert) -> bytes:
@@ -444,14 +453,40 @@ def _serialize(gph: ColoredGraph, lab, cert) -> bytes:
     )
 
 
-def canonical_form(gph: ColoredGraph) -> tuple[CanonicalKey, AutInfo]:
-    """Canonical key plus the exact automorphism group of the colored graph.
+# full searches of live group objects; an entry goes with its group
+_searched = weakref.WeakKeyDictionary()
+
+
+def _group_search(g: StabGroup, known=()):
+    """_canonical_search of g's code graph, run at most once per group object.
+
+    A full search is remembered until g is collected, and later calls
+    return it whatever their known keys: its key is the one a search
+    stopped at a known key returns.  A stopped search is not remembered.
+    The result is shared by every later caller, so it is all tuples, and
+    it holds only while g is not changed (see StabGroup).
+    """
+    found = _searched.get(g)
+    if found is None:
+        found = _canonical_search(build_code_graph(g), known)
+        if found[2] is not None:
+            _searched[g] = found
+    return found
+
+
+def canonical_form(obj: StabGroup | ColoredGraph) -> tuple[CanonicalKey, AutInfo]:
+    """Canonical key plus the exact automorphism group of a colored graph,
+    or of a group's code graph.
 
     The key is invariant under every color-preserving relabeling: equal
-    keys exactly for isomorphic colored graphs.
+    keys exactly for isomorphic colored graphs.  A group is searched at
+    most once (see the module docstring); a graph is searched each call.
     """
-    key, _, gens, size = _canonical_search(gph)
-    return key, AutInfo(size, tuple(gens))
+    if isinstance(obj, StabGroup):
+        key, _, gens, size = _group_search(obj)
+    else:
+        key, _, gens, size = _canonical_search(obj)
+    return key, AutInfo(size, gens)
 
 
 def class_key(g: StabGroup, known=()) -> CanonicalKey:
@@ -462,13 +497,12 @@ def class_key(g: StabGroup, known=()) -> CanonicalKey:
     in it: they are a relabeled copy of g's code graph, so g lies in that
     key's class, and the key returned is the one the full search gives.
     """
-    return _canonical_search(build_code_graph(g), known)[0]
+    return _group_search(g, known)[0]
 
 
 def aut_size(g: StabGroup) -> int:
     """Order of the symmetry stabilizer {phi : phi(S) = S}."""
-    _, aut = canonical_form(build_code_graph(g))
-    return aut.size
+    return _group_search(g)[3]
 
 
 def _lcperm_of_vertex_map(vmap, n: int, t: int) -> LCPerm:
@@ -499,7 +533,7 @@ def automorphisms(g: StabGroup) -> tuple[LCPerm, ...]:
     They are the code graph's automorphism generators found by the
     canonical search, decoded through their action on the qubit triangles.
     """
-    _, _, gens, _ = _canonical_search(build_code_graph(g))
+    _, _, gens, _ = _group_search(g)
     t = 1 << g.r
     return tuple(_lcperm_of_vertex_map(perm, g.n, t) for perm in gens)
 
@@ -518,14 +552,15 @@ def are_equivalent(a: StabGroup, b: StabGroup, witness: bool = False):
     With witness=True returns (flag, LCPerm or None); the returned element
     maps a onto b and is re-verified by applying it before returning.
     b is searched knowing a's key, so an equivalent b stops at its first
-    leaf; that leaf labels b onto a's canonical image, as the witness needs.
+    leaf; that leaf labels b onto a's canonical image, as the witness needs,
+    and so does the best leaf of a remembered full search of b.
     """
     if a.n != b.n:
         raise ValueError("groups act on different qubit counts")
     if a.r != b.r:
         return (False, None) if witness else False
-    key_a, lab_a, _, _ = _canonical_search(build_code_graph(a))
-    key_b, lab_b, _, _ = _canonical_search(build_code_graph(b), {key_a})
+    key_a, lab_a, _, _ = _group_search(a)
+    key_b, lab_b, _, _ = _group_search(b, {key_a})
     if not witness:
         return key_a == key_b
     if key_a != key_b:

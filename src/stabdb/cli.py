@@ -10,7 +10,7 @@ qubit j.
 import argparse
 import sys
 
-from .canon import build_code_graph, canonical_form
+from .canon import canonical_form
 from .db import (
     Database,
     Query,
@@ -112,7 +112,7 @@ def _cmd_props(args) -> int:
 
 def _cmd_canon(args) -> int:
     g = _parse_gens(args.gens)
-    key, aut = canonical_form(build_code_graph(g))
+    key, aut = canonical_form(g)
     print(f"canonical_key: {key.hex()}")
     print(f"aut_group_size: {aut.size}")
     return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin
 
-from .canon import build_code_graph, canonical_form
+from .canon import canonical_form
 from .pauli import StabGroup
 from .properties import (
     css_rank_test,
@@ -122,21 +122,22 @@ def invariants(g: StabGroup) -> dict:
     ``stabdb props`` both read this table."""
     report = decompose(g)
     d = distance(g)
+    weights = weight_enumerator(g).coeffs
     return {
         "d": d,
         "length": report.length,
         "is_css": css_rank_test(g) or css_representative(g) is not None,
         "is_decomposable": report.decomposable,
-        "is_degenerate": is_degenerate(g, d),
+        "is_degenerate": is_degenerate(g, d, weights),
         "is_gf4linear": gf4_representative(g) is not None,
         "is_even": is_even(g),
-        "weight_enumerator": list(weight_enumerator(g).coeffs),
+        "weight_enumerator": list(weights),
     }
 
 
 def record_from_group(g: StabGroup, index: int) -> CodeRecord:
     """Compute every stored invariant of one class representative."""
-    key, aut = canonical_form(build_code_graph(g))
+    key, aut = canonical_form(g)
     return CodeRecord(
         n=g.n,
         k=g.k,

@@ -78,9 +78,13 @@ class StabGroup:
 
     gens holds r = n - k packed [x|z] rows of rank r that pairwise commute.
     The empty generating set (r = 0, the trivial group {I}) is legal.
+    A group can be weakly referenced, so canon can remember its search
+    for as long as the group lives.  A group is therefore never changed
+    once built: no code assigns n or gens or alters gens.rows afterwards,
+    and a group that did change would keep the search of its old self.
     """
 
-    __slots__ = ("n", "gens")
+    __slots__ = ("n", "gens", "__weakref__")
 
     def __init__(self, n: int, gens: BitMatrix, validate: bool = True):
         if gens.ncols != 2 * n:

@@ -213,19 +213,20 @@ def distance(g: StabGroup) -> int:
     return _least_weight(g.gens.rows + logical_rows(g), g.n, 1 << g.r)
 
 
-def is_degenerate(g: StabGroup, d: int | None = None) -> bool:
+def is_degenerate(g: StabGroup, d: int | None = None, weights=None) -> bool:
     """Whether some nonidentity group element weighs less than the distance.
 
-    Only defined meaningfully for k > 0; k = 0 returns False.  The least
-    element weight is the exact k = 0 distance computation on the
-    generators.  A caller that already knows the distance passes it as d to
-    skip the search.
+    Only defined meaningfully for k > 0; k = 0 returns False.  The element
+    weights are read off the weight enumerator: some element weighs less
+    than d exactly when a coefficient at 1 <= w < d is nonzero.  A caller
+    that already has the distance or the enumerator's coefficients passes
+    them as d or weights, so they are not computed again.
     """
-    if g.k == 0 or g.r == 0:
+    if g.k == 0:
         return False
-    check_span(g.r)
-    min_stab = _least_weight(g.gens.rows, g.n, 1)
-    return min_stab < (distance(g) if d is None else d)
+    if weights is None:
+        weights = weight_enumerator(g).coeffs
+    return any(weights[1 : distance(g) if d is None else d])
 
 
 def is_even(g: StabGroup) -> bool:

@@ -5,10 +5,11 @@ import hashlib
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
-from stabdb import canon
+from stabdb import canon, search
 from stabdb.canon import (
     ColoredGraph,
     are_equivalent,
@@ -18,6 +19,7 @@ from stabdb.canon import (
     canonical_form,
     class_key,
 )
+from stabdb.db import build_records
 from stabdb.pauli import StabGroup
 from stabdb.search import enumerate_classes, extend_class
 from stabdb.transform import (
@@ -33,6 +35,11 @@ from util import closure_order, random_stab_group
 
 def group(*strings, n=None):
     return StabGroup.from_strings(strings, n=n)
+
+
+def _fresh_copy(g):
+    """The same group as a new object, which has no remembered search."""
+    return StabGroup.from_strings(g.generator_strings(), g.n)
 
 
 def _cycle7_row(j):
@@ -368,11 +375,13 @@ class TestEarlyExit:
                 found = set()  # as enumerate_classes passes them
                 for entry in classes[(n, k)]:
                     for cand in extend_class(entry.rep):
+                        # the full search of cand is remembered, so the
+                        # known-key searches run on fresh copies
                         key = class_key(cand)
-                        assert class_key(cand, found) == key
-                        assert class_key(cand, level_keys) == key
+                        assert class_key(_fresh_copy(cand), found) == key
+                        assert class_key(_fresh_copy(cand), level_keys) == key
                         # another cell's keys: a different vertex count
-                        assert class_key(cand, parent_keys) == key
+                        assert class_key(_fresh_copy(cand), parent_keys) == key
                         found.add(key)
                 assert found == level_keys
 
@@ -388,10 +397,11 @@ class TestEarlyExit:
             return refine(self, adj, worklist)
 
         monkeypatch.setattr(canon._Partition, "refine", counted)
-        key = class_key(g)
+        # fresh copies, so that neither call reads a remembered search
+        key = class_key(_fresh_copy(g))
         full = len(calls)
         calls.clear()
-        assert class_key(g, {key}) == key
+        assert class_key(_fresh_copy(g), {key}) == key
         assert len(calls) < full
 
 
@@ -402,20 +412,23 @@ class TestExactPruning:
 
     def test_outputs_pinned(self, full_enumeration):
         # key, |Aut| and the generator tuples, in order, of the search that
-        # descends to every automorphism leaf and sorts its certificate
+        # descends to every automorphism leaf and sorts its certificate;
+        # once from the graphs and once from the groups, whose searches the
+        # census that found them has already run
         reps = [
             e.rep
             for n in range(1, 6)
             for cell in sorted(full_enumeration[n]["classes"])
             for e in full_enumeration[n]["classes"][cell]
         ]
-        digest = hashlib.sha256()
-        for g in reps + list(N7_CODES.values()):
-            key, aut = canonical_form(build_code_graph(g))
-            digest.update(repr((key, aut.size, aut.generators)).encode())
-        assert digest.hexdigest() == (
-            "487fdebb7151fc36c6225264781a498720552ac118b24a386e9e21dab568013d"
-        )
+        for of in (build_code_graph, lambda g: g):
+            digest = hashlib.sha256()
+            for g in reps + list(N7_CODES.values()):
+                key, aut = canonical_form(of(g))
+                digest.update(repr((key, aut.size, aut.generators)).encode())
+            assert digest.hexdigest() == (
+                "487fdebb7151fc36c6225264781a498720552ac118b24a386e9e21dab568013d"
+            )
 
     @pytest.mark.parametrize("name", sorted(N7_CODES))
     def test_one_leaf_cert_per_search(self, name, monkeypatch):
@@ -443,3 +456,50 @@ class TestExactPruning:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestOneSearchPerGroup:
+    """A group object's full search is run once and remembered for as long
+    as the group lives; a census then searches each class once."""
+
+    def test_remembered_group_matches_fresh_copy(self, class_reps):
+        rng = random.Random(5)
+        groups = list(class_reps) + list(N7_CODES.values())
+        groups += [apply_lcperm(g, random_lcperm(7, rng)) for g in N7_CODES.values()]
+        for g in groups:
+            class_key(g)  # remembered from here on
+            assert g in canon._searched
+            fresh = _fresh_copy(g)
+            assert class_key(g) == class_key(fresh)
+            assert aut_size(g) == aut_size(fresh)
+            assert automorphisms(g) == automorphisms(fresh)
+            assert canonical_form(g) == canonical_form(build_code_graph(fresh))
+
+    def test_census_searches_each_class_once(self, monkeypatch):
+        monkeypatch.setattr(canon, "_searched", weakref.WeakKeyDictionary())
+        searches = []
+        search_graph = canon._canonical_search
+        monkeypatch.setattr(
+            canon,
+            "_canonical_search",
+            lambda gph, known=(): searches.append(1) or search_graph(gph, known),
+        )
+        candidates = []
+        monkeypatch.setattr(
+            search,
+            "class_key",
+            lambda g, known=(): candidates.append(g) or class_key(g, known),
+        )
+        classes = enumerate_classes(5)
+        records = build_records(classes)
+        assert len(searches) == len(candidates) == 445
+        reps = {id(e.rep) for entries in classes.values() for e in entries}
+        assert len(reps) == sum(map(len, records.values())) == 112
+        # every duplicate stopped at its first leaf, and none is remembered
+        duplicates = [g for g in candidates if id(g) not in reps]
+        assert len(duplicates) == 333
+        assert not any(g in canon._searched for g in duplicates)
+        assert len(canon._searched) == 112
+        del classes, records, candidates, duplicates
+        gc.collect()
+        assert len(canon._searched) == 0

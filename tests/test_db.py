@@ -75,6 +75,22 @@ def test_record_runs_distance_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_record_finds_least_stabilizer_weight_once(monkeypatch):
+    # is_degenerate reads the weight enumerator, so the only least-weight
+    # search left is the distance's walk over the centralizer
+    calls = []
+    inner = properties._least_weight
+
+    def counted(rows, n, first):
+        calls.append(first)
+        return inner(rows, n, first)
+
+    monkeypatch.setattr(properties, "_least_weight", counted)
+    rec = record_from_group(StabGroup.from_strings(FIVE_QUBIT, 5), 0)
+    assert not rec.is_degenerate
+    assert calls == [1 << 4]
+
+
 def test_record_json_shape():
     rec = record_from_group(StabGroup.from_strings(["XX", "ZZ"], 2), 3)
     line = rec.to_json()

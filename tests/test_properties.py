@@ -148,6 +148,7 @@ def test_weight_invariants_match_walks(weight_oracles, monkeypatch, slice_bits):
         assert distance(g) == d, g
         assert weight_enumerator(g).coeffs == coeffs, g
         assert is_degenerate(g) == degenerate, g
+        assert is_degenerate(g, d, coeffs) == degenerate, g
         assert is_even(g) == even, g
 
 
