@@ -11,7 +11,7 @@ Modules
 -------
 f2core      packed GF(2) linear algebra (rank, RREF, kernels)
 pauli       phase-free Pauli operators as packed rows, stabilizer groups
-transform   local Clifford + permutation symmetries, reduced standard form
+transform   local Clifford + permutation symmetries (the symmetry group)
 canon       colored-graph canonical forms, class keys, automorphism orders
 properties  distance, enumerators, CSS / GF(4) / decomposability tests
 search      class enumeration by extension and by graph-state dressing

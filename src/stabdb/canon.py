@@ -52,7 +52,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .pauli import StabGroup, span_rows
-from .transform import LETTER_PERMS, LCPerm, LocalClifford, QubitPerm, apply_lcperm
+from .transform import _INDEX_OF, LCPerm, LocalClifford, QubitPerm, apply_lcperm
 
 __all__ = [
     "ColoredGraph",
@@ -71,7 +71,6 @@ CanonicalKey = bytes
 # triangle corner slots are ordered (X, Y, Z); letter codes are 1, 3, 2
 _SLOT_OF_CODE = (None, 0, 2, 1)
 _CODE_OF_SLOT = (1, 3, 2)
-_PERM_INDEX = {p: i for i, p in enumerate(LETTER_PERMS)}
 
 _BLACK = 1
 _WHITE = 2
@@ -523,7 +522,7 @@ def _lcperm_of_vertex_map(vmap, n: int, t: int) -> LCPerm:
             slot = (vmap[base + _SLOT_OF_CODE[code]] - t) % 3
             perm4[code] = _CODE_OF_SLOT[slot]
         image[j] = jj
-        gates[jj] = _PERM_INDEX[tuple(perm4)]
+        gates[jj] = _INDEX_OF[tuple(perm4)]
     return LCPerm(LocalClifford(gates), QubitPerm(image))
 
 

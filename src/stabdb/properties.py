@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref
 from .pauli import StabGroup, check_span, logical_rows
 from .transform import (
-    _NEWX_SRC,
-    _NEWZ_SRC,
+    _SOURCES,
     LETTER_NAMES,
     LocalClifford,
     _letter_rows,
     apply_local_clifford,
-    apply_perm,
-    rsf,
 )
 
 __all__ = [
@@ -55,14 +52,6 @@ _SLICE_BITS = 16
 CSS_MAX_NODES = 1 << 20
 
 _CYCLE = LETTER_NAMES.index("R")  # X -> Y -> Z -> X
-
-# (gate, source of its new X column, source of its new Z column), the
-# sources numbered 0 = x, 1 = z, 2 = x ^ z
-_SOURCES = ("x", "z", "xz")
-_GATE_SOURCES = tuple(
-    (gate, _SOURCES.index(sx), _SOURCES.index(sz))
-    for gate, (sx, sz) in enumerate(zip(_NEWX_SRC, _NEWZ_SRC))
-)
 
 
 @dataclass(frozen=True)
@@ -320,7 +309,7 @@ def css_representative(g: StabGroup):
         zx, zz = reduced(basis_z, cx), reduced(basis_z, cz)
         red_x = (xx, xz, xx ^ xz)
         red_z = (zx, zz, zx ^ zz)
-        for gate, src_x, src_z in _GATE_SOURCES:
+        for gate, (src_x, src_z) in enumerate(_SOURCES):
             vx = red_x[src_x]
             vz = red_z[src_z]
             if (vx != 0) + (vz != 0) > room:
@@ -403,47 +392,38 @@ def gf4_representative(g: StabGroup):
 def decompose(g: StabGroup) -> DecompReport:
     """Split the group into untouched qubits and indecomposable factors.
 
-    The reduced standard form exposes every tensor factorization: qubits
-    with empty columns are trivial, and the connected components of the
-    support-intersection graph over the reduced rows are the factors.
+    The factors are the connected components of the support-intersection
+    graph over the RREF rows (canonical_gens, in the original qubit order);
+    the rows generate the group, so the components split it.  If the group
+    splits over two qubit sets, the RREFs of the two sides together already
+    form an RREF, which is unique, so every RREF row lies inside one side:
+    no component crosses a split, and the split is the finest.
     """
     n = g.n
     mask = (1 << n) - 1
-    if g.r == 0:
-        return DecompReport(tuple(range(n)), ())
-    res = rsf(g)
-    plain = apply_perm(StabGroup(n, res.matrix, validate=False), res.perm.inverse())
-    rows = plain.gens.rows
+    rows = g.canonical_gens().rows
     sups = [((row | (row >> n)) & mask) for row in rows]
     support = 0
     for s in sups:
         support |= s
     trivial = tuple(j for j in range(n) if not (support >> j) & 1)
-    parent = list(range(len(rows)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if sups[i] & sups[j]:
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[a] = b
-    comps = {}
-    for i in range(len(rows)):
-        comps.setdefault(find(i), []).append(i)
+    # (qubit mask, row indices) of the components merged so far
+    comps = []
+    for i, sup in enumerate(sups):
+        members = [i]
+        apart = []
+        for qmask, idx in comps:
+            if qmask & sup:
+                sup |= qmask
+                members += idx
+            else:
+                apart.append((qmask, idx))
+        comps = apart + [(sup, members)]
     factors = []
-    for members in comps.values():
-        qmask = 0
-        for i in members:
-            qmask |= sups[i]
+    for qmask, members in comps:
         qubits = tuple(j for j in range(n) if (qmask >> j) & 1)
         sub_rows = []
-        for i in members:
+        for i in sorted(members):
             fx = 0
             fz = 0
             for pos, q in enumerate(qubits):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .canon import CanonicalKey, automorphisms, class_key
 from .f2core import BitMatrix, kernel, rref
 from .pauli import StabGroup, logical_rows, symplectic_product
-from .transform import LocalClifford, apply_local_clifford, apply_perm, lcperm_rows, rsf
+from .transform import LocalClifford, QubitPerm, apply_local_clifford, apply_perm, lcperm_rows
 
 
 @dataclass(frozen=True)
@@ -300,10 +300,12 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     """Graph state and word matrix reproducing the group's class.
 
     The group is completed to a maximal group with k pairwise commuting
-    centralizer representatives; its standard form has X rank r plus
-    pure-Z pivots on every remaining qubit, so a layer of H on the Z
-    pivots makes the X block the identity and a layer of S where Y sits on
-    the diagonal clears the symmetric Z block's diagonal, leaving graph
+    centralizer representatives.  Its X part has rank r, so the qubits are
+    relabeled with the r X-pivot qubits of its RREF first and the rest
+    after them, each in ascending order.  The full group has rank n, so
+    after a layer of H on the last n - r qubits its X block has rank n, and
+    the RREF over the X columns has X block I.  A layer of S where Y sits
+    on the diagonal clears the symmetric Z block's diagonal, leaving graph
     generators.  The image of the original group under the same relabeling
     and layers is then a subgroup of the graph group, determined by its
     exponent vectors (the X parts), and the returned words span their
@@ -315,14 +317,14 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     n = g.n
     mask = (1 << n) - 1
     logical = _lagrangian_firsts(logical_rows(g), n)
-    full = StabGroup(
-        n, BitMatrix(2 * n, list(g.gens.rows) + logical), validate=False
+    full = BitMatrix(2 * n, list(g.gens.rows) + logical)
+    _, p_x, _ = rref(full, range(n))
+    perm = QubitPerm(p_x + [j for j in range(n) if j not in p_x]).inverse()
+    h_layer = LocalClifford(["I"] * len(p_x) + ["H"] * (n - len(p_x)))
+    h_full = apply_local_clifford(
+        apply_perm(StabGroup(n, full, validate=False), perm), h_layer
     )
-    res = rsf(full)
-    h_layer = LocalClifford(["I"] * res.r + ["H"] * (n - res.r))
-    h_form = apply_local_clifford(
-        StabGroup(n, res.matrix, validate=False), h_layer
-    )
+    h_form = StabGroup(n, rref(h_full.gens, range(n))[0], validate=False)
     s_layer = LocalClifford(
         ["S" if (row >> (n + j)) & 1 else "I"
          for j, row in enumerate(h_form.gens.rows)]
@@ -330,7 +332,7 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     graph = apply_local_clifford(h_form, s_layer)
     gph = GraphState(BitMatrix(n, [row >> n for row in graph.gens.rows]))
     image = apply_local_clifford(
-        apply_local_clifford(apply_perm(g, res.perm), h_layer), s_layer
+        apply_local_clifford(apply_perm(g, perm), h_layer), s_layer
     )
     words = kernel(BitMatrix(n, [row & mask for row in image.gens.rows]))
     return gph, words

@@ -1,4 +1,4 @@
-"""Local Clifford + qubit permutation symmetries and the reduced form.
+"""Local Clifford + qubit permutation symmetries.
 
 Single-qubit Cliffords act on phase-free Paulis only through the induced
 permutation of the letters {X, Y, Z}, so the local symmetry group per qubit
@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .f2core import BitMatrix, rref
+from .f2core import BitMatrix
 from .pauli import StabGroup
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "LocalClifford",
     "QubitPerm",
     "LCPerm",
-    "RsfResult",
     "apply_local_clifford",
     "apply_perm",
     "apply_lcperm",
@@ -41,7 +40,6 @@ __all__ = [
     "inverse",
     "identity_lcperm",
     "random_lcperm",
-    "rsf",
     "compose_letters",
     "invert_letter",
     "letter_is_even",
@@ -70,9 +68,13 @@ _COMPOSE = tuple(
 )
 _INVERT = tuple(_COMPOSE[a].index(0) for a in range(6))
 
-# new_x reads x / z / x^z depending on the gate; likewise new_z
-_NEWX_SRC = ("x", "z", "x", "xz", "z", "xz")
-_NEWZ_SRC = ("z", "x", "xz", "x", "xz", "z")
+# _SOURCES[g] = (source of new x, source of new z) under gate g, numbered
+# 0 = x, 1 = z, 2 = x ^ z: bit b of the images of X (code 1) and Z (code 2)
+# gives the map's coefficients on x and z
+_SOURCES = tuple(
+    tuple((((p[1] >> b) & 1) | ((p[2] >> b) & 1) << 1) - 1 for b in (0, 1))
+    for p in LETTER_PERMS
+)
 
 
 def compose_letters(a: int, b: int) -> int:
@@ -195,17 +197,18 @@ class LCPerm:
         return self.clifford.is_identity() and self.perm.is_identity()
 
 
-def _masks(gates, src_table):
-    m = {"x": 0, "z": 0, "xz": 0}
+def _masks(gates, side: int) -> list[int]:
+    """Qubit masks indexed by the source of new x (side 0) or new z (1)."""
+    m = [0, 0, 0]
     for j, g in enumerate(gates):
-        m[src_table[g]] |= 1 << j
-    return m["x"], m["z"], m["xz"]
+        m[_SOURCES[g][side]] |= 1 << j
+    return m
 
 
 def _letter_rows(rows, n: int, gates) -> list[int]:
     mask = (1 << n) - 1
-    ax, az, axz = _masks(gates, _NEWX_SRC)
-    bx, bz, bxz = _masks(gates, _NEWZ_SRC)
+    ax, az, axz = _masks(gates, 0)
+    bx, bz, bxz = _masks(gates, 1)
     new_rows = []
     for row in rows:
         x = row & mask
@@ -301,72 +304,3 @@ def random_lcperm(n: int, seed=None) -> LCPerm:
     rng.shuffle(image)
     gates = [rng.randrange(6) for _ in range(n)]
     return LCPerm(LocalClifford(gates), QubitPerm(image))
-
-
-@dataclass(frozen=True)
-class RsfResult:
-    """Reduced standard form of a generator matrix.
-
-    matrix holds the row-reduced generators after relabeling qubits by perm;
-    its block shape is
-
-        [ I  A1 A2 0 | B  0  C  0 ]     r rows with X pivots
-        [ 0  0  0  0 | D  I  E  0 ]     remaining pure-Z rows
-
-    with column groups (X-pivot qubits, Z-pivot qubits, other supported
-    qubits, untouched qubits) and r = rank of the X part.
-    """
-
-    matrix: BitMatrix
-    perm: QubitPerm
-    r: int
-
-    @property
-    def n(self) -> int:
-        return self.matrix.ncols // 2
-
-    @property
-    def s(self) -> int:
-        """Number of pure-Z rows (Z-pivot qubits)."""
-        return self.matrix.nrows - self.r
-
-
-def rsf(g: StabGroup) -> RsfResult:
-    """Reduced standard form with a deterministic qubit relabeling.
-
-    Pivot qubits for the X block are chosen left to right, then pivots for
-    the pure-Z rows left to right among the remaining qubits; the relabeling
-    [X pivots, Z pivots, other supported qubits, untouched qubits] is
-    returned as perm.
-    """
-    n = g.n
-    top, p_x, _ = rref(g.gens, range(n))
-    r = len(p_x)
-    non_px = [j for j in range(n) if j not in p_x]
-    bottom, z_pivot_bits, _ = rref(
-        BitMatrix(2 * n, top.rows[r:]), [n + j for j in non_px]
-    )
-    p_z = [b - n for b in z_pivot_bits]
-    rows = top.rows[:r] + bottom.rows
-    # bottom rows are pure Z, so adding them clears top Z entries on the
-    # Z-pivot qubits without disturbing any X entry
-    for t, b in enumerate(z_pivot_bits):
-        for i in range(r):
-            if (rows[i] >> b) & 1:
-                rows[i] ^= rows[r + t]
-    support_x = 0
-    support_z = 0
-    for row in rows:
-        support_x |= row & ((1 << n) - 1)
-        support_z |= row >> n
-    support = support_x | support_z
-    placed = set(p_x) | set(p_z)
-    rest = [j for j in range(n) if j not in placed and (support >> j) & 1]
-    untouched = [j for j in range(n) if j not in placed and not (support >> j) & 1]
-    order = p_x + p_z + rest + untouched
-    image = [0] * n
-    for pos, q in enumerate(order):
-        image[q] = pos
-    perm = QubitPerm(image)
-    reduced = StabGroup(n, BitMatrix(2 * n, rows), validate=False)
-    return RsfResult(apply_perm(reduced, perm).gens, perm, r)

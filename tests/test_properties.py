@@ -11,6 +11,7 @@ import pytest
 
 from stabdb import properties
 from stabdb.canon import aut_size, class_key
+from stabdb.f2core import BitMatrix
 from stabdb.pauli import StabGroup, parse_pauli, symplectic_product
 from stabdb.properties import (
     WeightEnum,
@@ -42,6 +43,7 @@ from reference_data import (
 from util import (
     brute_distance,
     brute_gf4_representative,
+    brute_split,
     coset_distance,
     packed_weight,
     random_stab_group,
@@ -461,6 +463,40 @@ def test_decompose_known_products():
     assert rep.length == 2 and rep.trivial_qubits == ()
     sizes = sorted(f[1].n for f in rep.factors)
     assert sizes == [2, 4]
+
+
+def _random_product(rng):
+    """A random symmetry image of the tensor product of two random groups
+    on at most 8 qubits in all."""
+    n1 = rng.randint(1, 4)
+    n2 = rng.randint(1, 8 - n1)
+    n = n1 + n2
+    rows = []
+    for lo, m in ((0, n1), (n1, n2)):
+        part = random_stab_group(m, rng.randint(1, m), rng)
+        for row in part.gens.rows:
+            x, z = row & ((1 << m) - 1), row >> m
+            rows.append((x << lo) | (z << (n + lo)))
+    g = StabGroup(n, BitMatrix(2 * n, rows))
+    return apply_lcperm(g, random_lcperm(n, rng))
+
+
+def test_decompose_matches_bipartition_oracle(full_enumeration):
+    groups = [
+        e.rep
+        for n in range(1, 6)
+        for entries in full_enumeration[n]["classes"].values()
+        for e in entries
+    ]
+    rng = random.Random(41)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        groups.append(random_stab_group(n, rng.randint(0, n), rng))
+    groups.extend(_random_product(rng) for _ in range(300))
+    for g in groups:
+        rep = decompose(g)
+        got = (rep.trivial_qubits, tuple(qubits for qubits, _ in rep.factors))
+        assert got == brute_split(g), g
 
 
 # --------------------------------------------------------------- invariance

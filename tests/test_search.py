@@ -1,5 +1,6 @@
 """Extension search, graph orbits, and codeword-search cross checks."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from stabdb.canon import class_key
 from stabdb.f2core import BitMatrix
 from stabdb import search
 from stabdb.pauli import StabGroup, logical_rows, span_rows
+from stabdb.properties import decompose
 from stabdb.search import (
     GraphState,
     _rref_matrices,
@@ -212,6 +214,33 @@ def test_cws_roundtrip_fuzz():
         back = cws_to_stabilizer(gs, words)
         assert back.r == g.r
         assert class_key(back) == class_key(g)
+
+
+def test_cws_and_decompose_outputs_pinned(full_enumeration):
+    """One digest over the graph-state form and the tensor split of every
+    class representative up to n = 5 and of seeded random groups up to
+    n = 10: the adjacency and word rows, the trivial qubits, and each
+    factor's qubits and RREF generator rows."""
+    groups = [
+        e.rep
+        for n in range(1, 6)
+        for entries in full_enumeration[n]["classes"].values()
+        for e in entries
+    ]
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        groups.append(random_stab_group(n, rng.randint(0, n), rng))
+    digest = hashlib.sha256()
+    for g in groups:
+        gs, words = stabilizer_to_cws(g)
+        rep = decompose(g)
+        factors = [(q, f.canonical_gens().rows) for q, f in rep.factors]
+        out = (gs.adjacency.rows, words.rows, rep.trivial_qubits, factors)
+        digest.update(repr(out).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "cd83f56b49744f1cafa92b3a30d24925ae401c2238df5228d6d58d7b7fd62157"
+    )
 
 
 def test_rref_matrix_counts():

@@ -1,10 +1,9 @@
-"""Letter-permutation action, qubit permutations, semidirect law, RSF."""
+"""Letter-permutation action, qubit permutations, semidirect law."""
 
 import random
 
 import pytest
 
-from stabdb.f2core import rank
 from stabdb.pauli import StabGroup
 from stabdb.transform import (
     LETTER_NAMES,
@@ -21,7 +20,6 @@ from stabdb.transform import (
     invert_letter,
     letter_is_even,
     random_lcperm,
-    rsf,
 )
 from util import random_stab_group
 
@@ -157,76 +155,3 @@ class TestSemidirect:
 
     def test_seeded_generation_reproducible(self):
         assert random_lcperm(5, 123) == random_lcperm(5, 123)
-
-
-def assert_rsf_shape(res):
-    n, r, s = res.n, res.r, res.s
-    mask = (1 << n) - 1
-    rows = res.matrix.rows
-    support = 0
-    for row in rows:
-        support |= (row & mask) | (row >> n)
-    for i in range(r):
-        x, z = rows[i] & mask, rows[i] >> n
-        for c in range(r):
-            assert (x >> c) & 1 == (1 if c == i else 0)
-        for c in range(r, r + s):
-            assert (z >> c) & 1 == 0
-    for t in range(s):
-        x, z = rows[r + t] & mask, rows[r + t] >> n
-        assert x == 0
-        for c in range(r, r + s):
-            assert (z >> c) & 1 == (1 if c == r + t else 0)
-    # unsupported qubits are segregated at the right edge
-    seen_zero = False
-    for c in range(r + s, n):
-        if not (support >> c) & 1:
-            seen_zero = True
-        else:
-            assert not seen_zero
-
-
-class TestRsf:
-    def test_bell(self):
-        res = rsf(group("XX", "ZZ"))
-        assert res.r == 1
-        assert res.matrix.rows[0] & 0b11 == 0b11
-        assert_rsf_shape(res)
-
-    def test_pure_z(self):
-        res = rsf(group("ZZI", "IZZ"))
-        assert res.r == 0 and res.s == 2
-        n = 3
-        z0 = res.matrix.rows[0] >> n
-        z1 = res.matrix.rows[1] >> n
-        assert (z0 & 0b11, z1 & 0b11) == (0b01, 0b10)
-        assert_rsf_shape(res)
-
-    def test_single_x(self):
-        res = rsf(group("X"))
-        assert res.r == 1
-        assert res.matrix.rows == [0b01]
-
-    def test_perm_recorded(self):
-        rng = random.Random(9)
-        for _ in range(30):
-            n = rng.randrange(1, 7)
-            g = random_stab_group(n, rng.randrange(n + 1), rng)
-            res = rsf(g)
-            assert_rsf_shape(res)
-            assert rank(res.matrix) == g.r
-            # undoing the qubit relabeling recovers the same group
-            back = apply_perm(
-                StabGroup(n, res.matrix, validate=False), res.perm.inverse()
-            )
-            assert back.same_group(g)
-
-    def test_trivial_qubits_pushed_right(self):
-        res = rsf(group("XIII", "IIZI"))
-        # qubits 1 and 3 are untouched; they must land in the last columns
-        assert_rsf_shape(res)
-        mask = (1 << 4) - 1
-        support = 0
-        for row in res.matrix.rows:
-            support |= (row & mask) | (row >> 4)
-        assert support == 0b0011

@@ -130,6 +130,40 @@ def reembed(report, n: int) -> StabGroup:
     return StabGroup(n, BitMatrix(2 * n, rows))
 
 
+def brute_split(g: StabGroup) -> tuple:
+    """(trivial qubits, factor qubit tuples) of the finest tensor split, by
+    trying every side A of the supported qubits (an exponential oracle).
+
+    A splits the group when the ranks of the generators restricted to A and
+    to the other supported qubits add up to r; a supported qubit's factor
+    is the intersection of the splitting sides that hold it.
+    """
+    n = g.n
+    rows = g.gens.rows
+    support = 0
+    for row in rows:
+        support |= (row | (row >> n)) & ((1 << n) - 1)
+    supported = [j for j in range(n) if (support >> j) & 1]
+
+    def rank_on(qubits):
+        both = qubits | (qubits << n)
+        return rank(BitMatrix(2 * n, [row & both for row in rows]))
+
+    sides = []
+    for bits in range(1 << len(supported)):
+        side = sum(1 << q for t, q in enumerate(supported) if (bits >> t) & 1)
+        if rank_on(side) + rank_on(support ^ side) == g.r:
+            sides.append(side)
+    factors = set()
+    for q in supported:
+        factor = support
+        for side in sides:
+            factor &= side if (side >> q) & 1 else support ^ side
+        factors.add(tuple(j for j in range(n) if (factor >> j) & 1))
+    trivial = tuple(j for j in range(n) if not (support >> j) & 1)
+    return trivial, tuple(sorted(factors))
+
+
 def brute_gf4_representative(g: StabGroup):
     """First I/H pattern, qubit 0 most significant, whose image is closed
     under the letter cycle X->Y->Z->X, or None; walks all 2^n patterns
