@@ -346,8 +346,9 @@ def _canonical_search(gph: ColoredGraph, known=()):
     # (certificate, labeling, individualized path) of the first and best leaves
     first = best = first_key = None
     first_parts = []  # the first path's partitions, by depth
-    edge_codes = {u * nverts + v for u, v in edges}
-    edge_codes.update(v * nverts + u for u, v in edges)
+    # u * nverts + v for each edge both ways, filled at the first leaf: a
+    # search that stops there at a known key never reads it
+    edge_codes = set()
     gens: list[tuple] = []
     gen_seen: set[tuple] = set()
     size = 1
@@ -381,6 +382,8 @@ def _canonical_search(gph: ColoredGraph, known=()):
                     first_key = _serialize(gph, lab, cert)
                     if first_key in known:
                         return -1  # every ancestor returns at once
+                edge_codes.update(u * nverts + v for u, v in edges)
+                edge_codes.update(v * nverts + u for u, v in edges)
                 return depth
             for leaf in (first, best):
                 if cert == leaf[0]:

@@ -10,7 +10,9 @@ import json
 import os
 import re
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_origin
 
 from .canon import canonical_form
@@ -33,7 +35,9 @@ class CodeRecord:
 
     The field list is the record schema: its order is the JSON key order
     and its types are checked on every read (bool is not int, and list
-    fields are checked entry by entry).
+    fields are checked entry by entry).  A well-formed record passes that
+    check with one comparison of its key and type tuples; the field-by-field
+    walk runs only to name the fields of a record that fails it.
     """
 
     n: int
@@ -56,25 +60,27 @@ class CodeRecord:
 
     def validate(self):
         """Check types and internal consistency; raises naming the record."""
-        where = f"record (n={self.n}, k={self.k}, index={self.index})"
         try:
-            _check_types(vars(self))
+            values = vars(self)
+            if tuple(values) != _FIELD_ORDER or not _schema_typed(values):
+                _check_types(values)
+            try:
+                g = self.group()
+            except ValueError as exc:
+                raise ValueError(f"bad generators: {exc}") from exc
+            if g.r != self.n - self.k:
+                raise ValueError(f"generators have rank {g.r}")
+            if len(self.weight_enumerator) != self.n + 1:
+                raise ValueError("weight enumerator length")
+            if not self.aut_group_size.isdigit() or self.aut_group_size == "0":
+                raise ValueError("bad automorphism order")
+            try:
+                bytes.fromhex(self.canonical_key)
+            except ValueError as exc:
+                raise ValueError("bad canonical key") from exc
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        try:
-            g = self.group()
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad generators: {exc}") from exc
-        if g.r != self.n - self.k:
-            raise ValueError(f"{where}: generators have rank {g.r}")
-        if len(self.weight_enumerator) != self.n + 1:
-            raise ValueError(f"{where}: weight enumerator length")
-        if not self.aut_group_size.isdigit() or self.aut_group_size == "0":
-            raise ValueError(f"{where}: bad automorphism order")
-        try:
-            bytes.fromhex(self.canonical_key)
-        except ValueError as exc:
-            raise ValueError(f"{where}: bad canonical key") from exc
+            where = f"record (n={self.n}, k={self.k}, index={self.index})"
+            raise ValueError(f"{where}: {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(
@@ -85,9 +91,10 @@ class CodeRecord:
     @classmethod
     def from_json(cls, line: str) -> "CodeRecord":
         obj = json.loads(line)
-        if tuple(obj) != _FIELD_ORDER:
+        if type(obj) is not dict or tuple(obj) != _FIELD_ORDER:
             raise ValueError("unexpected record fields")
-        _check_types(obj)
+        if not _schema_typed(obj):
+            _check_types(obj)
         # The checked mapping holds every field in order, so it becomes the
         # record's attribute dict as is: reads are the db layer's hot path.
         rec = cls.__new__(cls)
@@ -101,6 +108,21 @@ _SCHEMA = {
     for f in fields(CodeRecord)
 }
 _FIELD_ORDER = tuple(_SCHEMA)
+_TYPES = tuple(t for t, _ in _SCHEMA.values())
+_ENTRY_TYPES = tuple((name, {entry}) for name, (_, entry) in _SCHEMA.items() if entry)
+
+
+def _schema_typed(values: dict) -> bool:
+    """Whether a mapping of every field, in _FIELD_ORDER, has the schema
+    types: one type-tuple comparison and one set test per list field.  It
+    accepts exactly the records _check_types accepts, so that walk runs
+    only to name the fields of a record this rejects."""
+    if tuple(map(type, values.values())) != _TYPES:
+        return False
+    for name, entry in _ENTRY_TYPES:
+        if not entry.issuperset(map(type, values[name])):
+            return False
+    return True
 
 
 def _check_types(values: dict):
@@ -157,11 +179,11 @@ def build_records(classes: dict) -> dict:
     }
 
 
-def _cell_path(directory, n: int, k: int) -> Path:
-    return Path(directory) / f"codes_n{n}_k{k}.jsonl"
+def _cell_name(n: int, k: int) -> str:
+    return f"codes_n{n}_k{k}.jsonl"
 
 
-# exactly the names _cell_path gives, so no other file is taken for a cell
+# exactly the names _cell_name gives, so no other file is taken for a cell
 _CELL_NAME = re.compile(r"codes_n(0|[1-9][0-9]*)_k(0|[1-9][0-9]*)\.jsonl")
 
 
@@ -184,7 +206,7 @@ def write_db(records: dict, directory) -> list:
                     f"record (n={rec.n}, k={rec.k}, index={rec.index}) "
                     f"filed under cell {cell}"
                 )
-        path = _cell_path(directory, *cell)
+        path = directory / _cell_name(*cell)
         text = "".join(rec.to_json() + "\n" for rec in cell_records)
         path.write_text(text, encoding="utf-8")
         paths.append(path)
@@ -192,14 +214,15 @@ def write_db(records: dict, directory) -> list:
 
 
 def read_db(directory, n: int, k: int) -> list:
-    """Records of one cell, in file (= index) order."""
-    path = _cell_path(directory, n, k)
+    """Records of one cell, in file (= index) order; a line that is not a
+    record raises, naming the file and line."""
+    path = os.path.join(directory, _cell_name(n, k))
     records = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
                 records.append(CodeRecord.from_json(line))
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt record: {exc}")
     return records
 
@@ -249,12 +272,16 @@ class Query:
 def query(db: Database, q: Query) -> list:
     """Matching records across all cells, in (n, k, index) order."""
     want = q.filters
+    # one getter for every filtered field; on the filters themselves it
+    # gives the values to match, in the same shape (bare for a lone field)
+    pick = attrgetter(*want) if want else lambda rec: ()
+    target = pick(SimpleNamespace(**want))
     hits = []
     for n, k in db.cells():
         if want.get("n", n) != n or want.get("k", k) != k:
             continue
         for rec in db.records(n, k):
-            if all(getattr(rec, name) == value for name, value in want.items()):
+            if pick(rec) == target:
                 if not q.info_only:
                     rec.validate()
                 hits.append(rec)

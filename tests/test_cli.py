@@ -276,6 +276,27 @@ def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):
         assert "codes_n2_k0.jsonl:1:" in err and err.rstrip().endswith(named)
 
 
+def test_non_object_record_line_exits_2(cli_db, tmp_path, capsys):
+    # a line holding the field names as a JSON array is no record; reading
+    # it once raised AttributeError, which exits 1 with a traceback
+    for path in cli_db.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "codes_n2_k0.jsonl"
+    good = json.loads(target.read_text().splitlines()[0])
+    target.write_text(json.dumps(list(good)) + "\n")
+    for argv in (
+        ["query", "--db", str(tmp_path)],
+        ["dist", "--db", str(tmp_path), "--n", "2", "--csv", str(tmp_path / "out.csv")],
+        ["verify-mass", "--db", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {target}:1: corrupt record: unexpected record fields\n"
+        ), argv
+
+
 def test_usage_errors_exit_2_subprocess():
     for argv in (
         ["enumerate"],  # missing required --n/--out

@@ -185,6 +185,148 @@ def test_record_field_types(db3, tmp_path):
         read_db(tmp_path, 3, 1)
 
 
+# each field's JSON type and, for a list field, its entries' type, written
+# out here so the checks below do not read the schema they test
+FIELD_TYPES = {
+    "n": (int, None),
+    "k": (int, None),
+    "d": (int, None),
+    "index": (int, None),
+    "generators": (list, str),
+    "aut_group_size": (str, None),
+    "is_css": (bool, None),
+    "is_decomposable": (bool, None),
+    "is_degenerate": (bool, None),
+    "is_gf4linear": (bool, None),
+    "is_even": (bool, None),
+    "length": (int, None),
+    "weight_enumerator": (list, int),
+    "canonical_key": (str, None),
+}
+WRONG_JSON = ("1", 1, True, 1.5, None, [1], {"a": 1})
+
+
+def walk_verdict(line: str):
+    """None when a line is a record, else the error it gets: the decoder's
+    message, "unexpected record fields" for anything but an object with
+    the fields in order, or a field-by-field walk naming every mistyped
+    field in field order."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        return str(exc)
+    if type(obj) is not dict or list(obj) != FIELD_ORDER:
+        return "unexpected record fields"
+    bad = []
+    for name in FIELD_ORDER:
+        t, entry = FIELD_TYPES[name]
+        value = obj[name]
+        if type(value) is not t or (entry and any(type(v) is not entry for v in value)):
+            bad.append(name)
+    return f"wrong type for field(s) {', '.join(bad)}" if bad else None
+
+
+def check_cases():
+    """A good record, and (label, line) for it and for every way a line can
+    miss the schema."""
+    rec = record_from_group(StabGroup.from_strings(["XX", "ZZ"], 2), 0)
+    good = json.loads(rec.to_json())
+    cases = [("good", good)]
+    for name in FIELD_ORDER:
+        for wrong in WRONG_JSON:
+            if type(wrong) is not type(good[name]):
+                cases.append((f"{name}={wrong!r}", dict(good, **{name: wrong})))
+    for name in ("generators", "weight_enumerator"):
+        for wrong in WRONG_JSON:
+            if type(wrong) is not FIELD_TYPES[name][1]:
+                wrong_entry = dict(good, **{name: good[name] + [wrong]})
+                cases.append((f"{name} entry {wrong!r}", wrong_entry))
+    cases.append(("d and is_css", dict(good, d="1", is_css="yes")))
+    cases.append(("every field", {name: None for name in FIELD_ORDER}))
+    for name in FIELD_ORDER:
+        cases.append((f"no {name}", {f: v for f, v in good.items() if f != name}))
+    cases.append(("extra key", dict(good, extra=1)))
+    cases.append(("extra key, mistyped d", dict(good, d="1", extra=1)))
+    cases.append(("reversed", dict(reversed(list(good.items())))))
+    for i in range(len(FIELD_ORDER) - 1):
+        keys = FIELD_ORDER[:i] + [FIELD_ORDER[i + 1], FIELD_ORDER[i]] + FIELD_ORDER[i + 2 :]
+        cases.append((f"swap {keys[i + 1]}, {keys[i]}", {f: good[f] for f in keys}))
+    lines = [(label, json.dumps(obj, separators=(",", ":"))) for label, obj in cases]
+    # lines that are no JSON object, or no JSON; an array of the field
+    # names once passed the key check and crashed the type walk
+    lines += [
+        ("field names as an array", json.dumps(FIELD_ORDER)),
+        ("array", "[1]"),
+        ("empty array", "[]"),
+        ("string", '"n"'),
+        ("number", "1"),
+        ("true", "true"),
+        ("null", "null"),
+        ("blank", ""),
+        ("broken", "{broken"),
+    ]
+    return good, lines
+
+
+def test_one_comparison_check_agrees_with_field_walk(tmp_path):
+    """from_json, read_db and validate() accept exactly the lines the
+    field-by-field walk accepts, and reject the rest with its message."""
+    good, lines = check_cases()
+    good_line = json.dumps(good, separators=(",", ":"))
+    path = tmp_path / "codes_n2_k0.jsonl"
+    for label, line in lines:
+        want = walk_verdict(line)
+        if want is None:
+            assert CodeRecord.from_json(line).to_json() == line, label
+        else:
+            with pytest.raises(ValueError) as caught:
+                CodeRecord.from_json(line)
+            assert str(caught.value) == want, label
+        path.write_text(good_line + "\n" + line + "\n")
+        if want is None:
+            assert len(read_db(tmp_path, 2, 0)) == 2, label
+        else:
+            with pytest.raises(ValueError) as caught:
+                read_db(tmp_path, 2, 0)
+            # the file line keeps its newline, which moves a decode error
+            read = walk_verdict(line + "\n")
+            assert str(caught.value) == f"{path}:2: corrupt record: {read}", label
+        # validate() checks the types of a record holding these fields the
+        # same way (test_validate_checks_reordered_and_extra_fields has the
+        # key cases)
+        if want is not None and not want.startswith("wrong type"):
+            continue
+        rec = CodeRecord.__new__(CodeRecord)
+        rec.__dict__ = json.loads(line)
+        if want is None:
+            rec.validate()
+            continue
+        with pytest.raises(ValueError) as caught:
+            rec.validate()
+        where = f"record (n={rec.n}, k={rec.k}, index={rec.index})"
+        assert str(caught.value) == f"{where}: {want}", label
+
+
+def test_validate_checks_reordered_and_extra_fields():
+    # validate() walks the attributes a record object holds, by name, as the
+    # field walk always did: reordered ones pass, and one outside the schema
+    # raises KeyError
+    _, lines = check_cases()
+    for label, line in lines:
+        if not label.startswith(("swap", "reversed", "extra key")):
+            continue
+        rec = CodeRecord.__new__(CodeRecord)
+        rec.__dict__ = json.loads(line)
+        if label.startswith("extra key"):
+            with pytest.raises(KeyError, match="extra"):
+                rec.validate()
+        else:
+            rec.validate()
+            rec.d, rec.is_css = "1", "yes"
+            with pytest.raises(ValueError, match=r"index=0\): .* field\(s\) (d, is_css|is_css, d)$"):
+                rec.validate()
+
+
 def test_database_cells(db3):
     directory, _ = db3
     assert Database(directory).cells() == [(3, k) for k in range(4)]
