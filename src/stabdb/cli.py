@@ -25,7 +25,6 @@ from .pauli import StabGroup
 from .properties import WeightEnum
 from .search import (
     GraphState,
-    cws_enumerate,
     cws_to_stabilizer,
     enumerate_classes,
     stabilizer_to_cws,
@@ -62,13 +61,7 @@ def _cmd_enumerate(args) -> int:
             f"enumerate refuses n = {args.n} > 7: n = 7 is the largest "
             "census with a certified digest"
         )
-    if args.strategy == "iterative":
-        classes = enumerate_classes(args.n, args.kmin)
-    else:
-        classes = {
-            (args.n, k): cws_enumerate(args.n, k)
-            for k in range(args.kmin, args.n + 1)
-        }
+    classes = enumerate_classes(args.n, args.kmin)
     write_db(build_records(classes), args.out)
     for (n, k) in sorted(classes):
         print(f"n={n} k={k} classes={len(classes[(n, k)])}")
@@ -82,10 +75,10 @@ def _cmd_verify_mass(args) -> int:
         raise ValueError(f"no database cells under {args.db}")
     failed = False
     for n, k in cells:
-        pairs = [
-            (rec.canonical_key, int(rec.aut_group_size))
-            for rec in db.records(n, k)
-        ]
+        records = db.records(n, k)
+        for rec in records:
+            rec.validate()  # so an |Aut| int() cannot read names its record
+        pairs = [(rec.canonical_key, int(rec.aut_group_size)) for rec in records]
         lhs, rhs, ok = mass_check(pairs, n, k)
         failed |= not ok
         print(f"n={n} k={k} lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
@@ -138,7 +131,8 @@ def _cmd_cws(args) -> int:
     if args.to_stab:
         if args.graph is None or args.code is None:
             raise ValueError("--to-stab needs --graph and --code")
-        adjacency = _parse_bitrows(args.graph, len(args.graph.split(";")))
+        n = sum(1 for part in args.graph.split(";") if part)
+        adjacency = _parse_bitrows(args.graph, n)
         gs = GraphState(adjacency)
         g = cws_to_stabilizer(gs, _parse_bitrows(args.code, gs.n))
         print(";".join(g.generator_strings()))
@@ -169,9 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmin", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument(
-        "--strategy", choices=("iterative", "cws"), default="iterative"
-    )
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify-mass", help="check mass identities of a database")

@@ -72,7 +72,7 @@ class CodeRecord:
                 raise ValueError(f"generators have rank {g.r}")
             if len(self.weight_enumerator) != self.n + 1:
                 raise ValueError("weight enumerator length")
-            if not self.aut_group_size.isdigit() or self.aut_group_size == "0":
+            if not _AUT_ORDER.fullmatch(self.aut_group_size):
                 raise ValueError("bad automorphism order")
             try:
                 bytes.fromhex(self.canonical_key)
@@ -110,6 +110,8 @@ _SCHEMA = {
 _FIELD_ORDER = tuple(_SCHEMA)
 _TYPES = tuple(t for t, _ in _SCHEMA.values())
 _ENTRY_TYPES = tuple((name, {entry}) for name, (_, entry) in _SCHEMA.items() if entry)
+# a positive decimal in ASCII digits, no leading zero: what int() reads back
+_AUT_ORDER = re.compile(r"[1-9][0-9]*")
 
 
 def _schema_typed(values: dict) -> bool:
@@ -215,13 +217,13 @@ def write_db(records: dict, directory) -> list:
 
 def read_db(directory, n: int, k: int) -> list:
     """Records of one cell, in file (= index) order; a line that is not a
-    record raises, naming the file and line."""
+    UTF-8 record raises, naming the file and line."""
     path = os.path.join(directory, _cell_name(n, k))
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
-                records.append(CodeRecord.from_json(line))
+                records.append(CodeRecord.from_json(line.decode("utf-8")))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt record: {exc}")
     return records

@@ -1,19 +1,15 @@
 """Class enumeration: extension search and graph-state search.
 
-Two independent strategies produce a transversal of the equivalence
-classes per (n, k):
+The census is the iterative search, enumerate_classes: it extends every
+class representative at level k by one commuting generator to reach level
+k - 1, deduplicating through canonical keys.  Extensions in one orbit of
+the representative's automorphism group land in one class, so only one
+per orbit is canonicalized (canonical augmentation, McKay 1998).
 
-* the iterative search extends every class representative at level k by
-  one commuting generator to reach level k - 1, deduplicating through
-  canonical keys; extensions in one orbit of the representative's
-  automorphism group land in one class, so only one per orbit is
-  canonicalized (canonical augmentation, McKay 1998), and
-
-* the codeword search pairs graph orbit representatives with classical
-  linear codes.
-
-Agreement of the two key sets, together with the mass identity, certifies
-completeness of the transversal.
+The codeword search, cws_enumerate, independently pairs graph orbit
+representatives with classical linear codes.  No command runs it; the
+tests check that its key sets agree with the census, which together with
+the mass identity certifies completeness of the transversal.
 """
 
 import itertools
@@ -132,9 +128,16 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
     return out
 
 
-def _sorted_entries(found: dict) -> list[ClassEntry]:
-    keys = sorted(found)
-    return [ClassEntry(key, found[key], i) for i, key in enumerate(keys)]
+def _transversal(candidates) -> list[ClassEntry]:
+    """One entry per class met among candidates, the first candidate in
+    it as representative, in canonical key order.  class_key is read from
+    the module on each call, so a rebound one is the one used."""
+    found = {}
+    for cand in candidates:
+        key = class_key(cand, found)
+        if key not in found:
+            found[key] = cand
+    return [ClassEntry(key, found[key], i) for i, key in enumerate(sorted(found))]
 
 
 def enumerate_classes(n: int, k_min: int = 0) -> dict:
@@ -152,13 +155,9 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
     level = [ClassEntry(class_key(trivial), trivial, 0)]
     result = {(n, n): level}
     for k in range(n - 1, k_min - 1, -1):
-        found = {}
-        for entry in level:
-            for cand in extend_class(entry.rep):
-                key = class_key(cand, found)
-                if key not in found:
-                    found[key] = cand
-        level = _sorted_entries(found)
+        level = _transversal(
+            cand for entry in level for cand in extend_class(entry.rep)
+        )
         result[(n, k)] = level
     return result
 
@@ -344,15 +343,10 @@ def cws_enumerate(n: int, k: int) -> list[ClassEntry]:
     space), in canonical key order."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    found = {}
     orbits = graphstate_orbits(n)
-    for code in _rref_matrices(n, k):
-        for gs in orbits:
-            g = cws_to_stabilizer(gs, code)
-            key = class_key(g, found)
-            if key not in found:
-                found[key] = g
-    return _sorted_entries(found)
+    return _transversal(
+        cws_to_stabilizer(gs, code) for code in _rref_matrices(n, k) for gs in orbits
+    )
 
 
 def _rref_matrices(n: int, k: int):

@@ -12,15 +12,13 @@ is Sym({X,Y,Z}) with 6 elements, named here
     V  = HSH    Y <-> Z
 
 The full symmetry group is the wreath-like semidirect product of n letter
-permutations with a qubit permutation; LCPerm carries one element and
-composes by the semidirect law.  Every letter permutation is linear on the
-(x, z) bit pair, which lets apply_local_clifford act on whole packed rows
-with three masks per part.
+permutations with a qubit permutation; LCPerm carries one element.  Every
+letter permutation is linear on the (x, z) bit pair, which lets
+apply_local_clifford act on whole packed rows with three masks per part.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .f2core import BitMatrix
@@ -36,13 +34,6 @@ __all__ = [
     "apply_perm",
     "apply_lcperm",
     "lcperm_rows",
-    "compose",
-    "inverse",
-    "identity_lcperm",
-    "random_lcperm",
-    "compose_letters",
-    "invert_letter",
-    "letter_is_even",
 ]
 
 LETTER_NAMES = ("I", "H", "S", "R", "Ri", "V")
@@ -60,14 +51,6 @@ LETTER_PERMS = (
 _INDEX_OF = {p: i for i, p in enumerate(LETTER_PERMS)}
 _NAME_TO_INDEX = {name: i for i, name in enumerate(LETTER_NAMES)}
 
-# _COMPOSE[a][b] = the element acting as "b first, then a"
-_COMPOSE = tuple(
-    tuple(_INDEX_OF[tuple(LETTER_PERMS[a][LETTER_PERMS[b][v]] for v in range(4))]
-          for b in range(6))
-    for a in range(6)
-)
-_INVERT = tuple(_COMPOSE[a].index(0) for a in range(6))
-
 # _SOURCES[g] = (source of new x, source of new z) under gate g, numbered
 # 0 = x, 1 = z, 2 = x ^ z: bit b of the images of X (code 1) and Z (code 2)
 # gives the map's coefficients on x and z
@@ -75,20 +58,6 @@ _SOURCES = tuple(
     tuple((((p[1] >> b) & 1) | ((p[2] >> b) & 1) << 1) - 1 for b in (0, 1))
     for p in LETTER_PERMS
 )
-
-
-def compose_letters(a: int, b: int) -> int:
-    """Index of the letter permutation "apply b, then a"."""
-    return _COMPOSE[a][b]
-
-
-def invert_letter(a: int) -> int:
-    return _INVERT[a]
-
-
-def letter_is_even(a: int) -> bool:
-    """True when the permutation of {X,Y,Z} is even (I, R, Ri)."""
-    return a in (0, 3, 4)
 
 
 def _as_letter_index(g) -> int:
@@ -165,9 +134,6 @@ class QubitPerm:
             inv[m] = j
         return QubitPerm(inv)
 
-    def is_identity(self) -> bool:
-        return all(m == j for j, m in enumerate(self.image))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QubitPerm) and self.image == other.image
 
@@ -192,9 +158,6 @@ class LCPerm:
     @property
     def n(self) -> int:
         return self.perm.n
-
-    def is_identity(self) -> bool:
-        return self.clifford.is_identity() and self.perm.is_identity()
 
 
 def _masks(gates, side: int) -> list[int]:
@@ -265,42 +228,6 @@ def lcperm_rows(a: LCPerm, rows) -> list[int]:
 def apply_lcperm(g: StabGroup, a: LCPerm) -> StabGroup:
     """Act by a: permute qubits, then apply the letter permutations.
 
-    The letter list is indexed by post-permutation positions, matching the
-    semidirect composition law below.
+    The letter list is indexed by post-permutation positions.
     """
     return apply_local_clifford(apply_perm(g, a.perm), a.clifford)
-
-
-def compose(a: LCPerm, b: LCPerm) -> LCPerm:
-    """The element acting as "b first, then a"."""
-    if a.n != b.n:
-        raise ValueError("sizes differ")
-    n = a.n
-    img_a = a.perm.image
-    img_b = b.perm.image
-    image = [img_a[img_b[j]] for j in range(n)]
-    inv_a = a.perm.inverse().image
-    gates = [
-        compose_letters(a.clifford.gates[m], b.clifford.gates[inv_a[m]])
-        for m in range(n)
-    ]
-    return LCPerm(LocalClifford(gates), QubitPerm(image))
-
-
-def inverse(a: LCPerm) -> LCPerm:
-    inv_perm = a.perm.inverse()
-    gates = [invert_letter(a.clifford.gates[a.perm.image[m]]) for m in range(a.n)]
-    return LCPerm(LocalClifford(gates), inv_perm)
-
-
-def identity_lcperm(n: int) -> LCPerm:
-    return LCPerm(LocalClifford.identity(n), QubitPerm.identity(n))
-
-
-def random_lcperm(n: int, seed=None) -> LCPerm:
-    """Uniformly random symmetry element; seed may be an int or a Random."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    image = list(range(n))
-    rng.shuffle(image)
-    gates = [rng.randrange(6) for _ in range(n)]
-    return LCPerm(LocalClifford(gates), QubitPerm(image))

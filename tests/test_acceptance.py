@@ -16,7 +16,7 @@ from stabdb.db import build_records, write_db
 from stabdb.f2core import BitMatrix, kernel, rank, rref
 from stabdb.properties import decompose
 from stabdb.search import cws_enumerate, enumerate_classes
-from stabdb.transform import apply_lcperm, random_lcperm
+from stabdb.transform import apply_lcperm
 from stabdb.verify import mass_check, nlp_count
 
 from reference_data import (
@@ -29,7 +29,7 @@ from reference_data import (
     TOTAL_CLASS_COUNTS,
     TOTAL_INDECOMPOSABLE_COUNTS,
 )
-from util import brute_distance, random_stab_group, reembed
+from util import brute_distance, random_lcperm, random_stab_group, reembed
 
 
 def _counts(classes, n):

@@ -28,9 +28,8 @@ from stabdb.transform import (
     LocalClifford,
     QubitPerm,
     apply_lcperm,
-    random_lcperm,
 )
-from util import closure_order, random_stab_group
+from util import closure_order, random_lcperm, random_stab_group
 
 
 def group(*strings, n=None):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 from stabdb import properties
 from stabdb.canon import aut_size, class_key
-from stabdb.cli import main
+from stabdb.cli import _build_parser, main
 from stabdb.db import build_records
 from stabdb.pauli import StabGroup
 from stabdb.properties import WeightEnum
@@ -35,26 +36,6 @@ def test_enumerate_counts_and_files(tmp_path, capsys):
     assert files == ["codes_n1_k0.jsonl", "codes_n1_k1.jsonl"]
     for name in files:
         assert len((tmp_path / name).read_text().splitlines()) == 1
-
-
-def test_enumerate_cws_strategy_matches(tmp_path, capsys):
-    a = tmp_path / "iter"
-    b = tmp_path / "cws"
-    assert main(["enumerate", "--n", "2", "--out", str(a)]) == 0
-    assert main(
-        ["enumerate", "--n", "2", "--out", str(b), "--strategy", "cws"]
-    ) == 0
-    capsys.readouterr()
-    for name in ("codes_n2_k0", "codes_n2_k1", "codes_n2_k2"):
-        keys_a = [
-            json.loads(line)["canonical_key"]
-            for line in (a / f"{name}.jsonl").read_text().splitlines()
-        ]
-        keys_b = [
-            json.loads(line)["canonical_key"]
-            for line in (b / f"{name}.jsonl").read_text().splitlines()
-        ]
-        assert keys_a == keys_b
 
 
 def test_enumerate_is_deterministic(tmp_path, capsys):
@@ -185,10 +166,12 @@ def test_cws_conversions(capsys):
     assert main(["cws", "--to-cws", "--gens", "XX;ZZ"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["graph: 01;10", "code: "]
-    assert main(["cws", "--to-stab", "--graph", "01;10", "--code", ""]) == 0
-    gens = capsys.readouterr().out.strip().split(";")
-    got = StabGroup.from_strings(gens, 2)
-    assert got.same_group(StabGroup.from_strings(["XZ", "ZX"], 2))
+    # as with --gens, an empty part after the last ";" is no row
+    for graph in ("01;10", "01;10;"):
+        assert main(["cws", "--to-stab", "--graph", graph, "--code", ""]) == 0
+        gens = capsys.readouterr().out.strip().split(";")
+        got = StabGroup.from_strings(gens, 2)
+        assert got.same_group(StabGroup.from_strings(["XZ", "ZX"], 2))
     assert main(
         ["cws", "--to-stab", "--graph", "010;101;010", "--code", "101"]
     ) == 0
@@ -241,19 +224,9 @@ def test_props_css_guard_exits_2(monkeypatch, capsys):
     assert "CSS search over 10 nodes" in capsys.readouterr().err
 
 
-def test_enumerate_cws_above_7_exits_2(tmp_path, capsys):
-    # refused before the 2^28-byte graph bitmap is allocated
+def test_enumerate_above_7_exits_2(tmp_path, capsys):
     out = tmp_path / "DB"
-    argv = ["enumerate", "--n", "8", "--strategy", "cws", "--out", str(out)]
-    assert main(argv) == 2
-    assert "refuses n = 8 > 7" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("strategy", ["iterative", "cws"])
-def test_enumerate_above_7_exits_2(tmp_path, capsys, strategy):
-    out = tmp_path / "DB"
-    argv = ["enumerate", "--n", "8", "--strategy", strategy, "--out", str(out)]
+    argv = ["enumerate", "--n", "8", "--out", str(out)]
     assert main(argv) == 2
     assert "enumerate refuses n = 8 > 7" in capsys.readouterr().err
     assert not out.exists()
@@ -274,6 +247,23 @@ def test_query_mistyped_record_exits_2(cli_db, tmp_path, capsys):
         assert main(["query", "--db", str(tmp_path), "--d", "1"]) == 2
         err = capsys.readouterr().err
         assert "codes_n2_k0.jsonl:1:" in err and err.rstrip().endswith(named)
+
+
+def test_bad_aut_order_exits_2(cli_db, tmp_path, capsys):
+    # int() cannot read "\u00b2" and reads "00" as 0: a stored |Aut| is
+    # refused, naming its record, before either command uses it
+    for path in cli_db.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "codes_n2_k1.jsonl"
+    lines = target.read_text().splitlines()
+    good = json.loads(lines[0])
+    for wrong in ("\u00b2", "00"):
+        lines[0] = json.dumps(dict(good, aut_group_size=wrong), separators=(",", ":"))
+        target.write_text("".join(line + "\n" for line in lines))
+        for argv in (["query", "--db", str(tmp_path)], ["verify-mass", "--db", str(tmp_path)]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == "error: record (n=2, k=1, index=0): bad automorphism order\n", argv
 
 
 def test_non_object_record_line_exits_2(cli_db, tmp_path, capsys):
@@ -297,12 +287,43 @@ def test_non_object_record_line_exits_2(cli_db, tmp_path, capsys):
         ), argv
 
 
+def test_non_utf8_byte_exits_2(cli_db, tmp_path, capsys):
+    # each line is decoded on its own, so the error names the file and line
+    for path in cli_db.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "codes_n2_k1.jsonl"
+    with open(target, "ab") as handle:
+        handle.write(b"\xff")
+    assert main(["query", "--db", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {target}:3: corrupt record: ")
+    assert "codes_n2_k1.jsonl:3:" in captured.err
+
+
+def test_readme_commands_parse():
+    # every stabdb command line shown in README names only options the
+    # parser knows; parse_args exits 2 on any other
+    lines = []
+    fenced = False
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.removeprefix("$ ").startswith("stabdb "):
+            lines.append(line.removeprefix("$ "))
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).func, line
+
+
 def test_usage_errors_exit_2_subprocess():
     for argv in (
         ["enumerate"],  # missing required --n/--out
         ["query"],  # missing required --db
         ["bogus-command"],
-        ["enumerate", "--n", "2", "--out", "/tmp/x", "--strategy", "weird"],
+        ["enumerate", "--n", "2", "--out", "/tmp/x", "--strategy", "weird"],  # unknown option
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "stabdb.cli", *argv],

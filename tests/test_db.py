@@ -144,6 +144,13 @@ def test_read_db_corrupt_line(db3, tmp_path):
         handle.write("{broken\n")
     with pytest.raises(ValueError, match=r"codes_n3_k2\.jsonl:4"):
         read_db(tmp_path, 3, 2)
+    # a byte that is not UTF-8, or a UTF-8-encoded surrogate, is named by
+    # file and line like any other corrupt line
+    lines = (directory / target.name).read_bytes().splitlines(keepends=True)
+    for bad in (b"\xff", b"\xed\xa0\x80"):
+        target.write_bytes(lines[0] + lines[1].replace(b'"X', b'"' + bad + b"X", 1))
+        with pytest.raises(ValueError, match=r"codes_n3_k2\.jsonl:2: corrupt record: 'utf-8'"):
+            read_db(tmp_path, 3, 2)
 
 
 def test_record_field_types(db3, tmp_path):
@@ -173,6 +180,12 @@ def test_record_field_types(db3, tmp_path):
     bad.generators = [1, 2]
     with pytest.raises(ValueError, match=r"index=0\): .* generators$"):
         bad.validate()
+    # |Aut| is a positive decimal in ASCII digits, with no leading zero
+    for wrong in ("0", "00", "012", "\u00b2", "\u0661", "", "-1", "+1", " 12", "12\n", "1e3"):
+        bad = CodeRecord.from_json(rec.to_json())
+        bad.aut_group_size = wrong
+        with pytest.raises(ValueError, match=r"index=0\): bad automorphism order$"):
+            bad.validate()
     # read_db names the file and line of a mistyped record
     directory, _ = db3
     target = tmp_path / "codes_n3_k1.jsonl"

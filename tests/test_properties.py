@@ -30,7 +30,6 @@ from stabdb.transform import (
     LocalClifford,
     apply_lcperm,
     apply_local_clifford,
-    random_lcperm,
 )
 
 from reference_data import (
@@ -46,6 +45,7 @@ from util import (
     brute_split,
     coset_distance,
     packed_weight,
+    random_lcperm,
     random_stab_group,
     reembed,
     span_is_even,

@@ -1,4 +1,4 @@
-"""Letter-permutation action, qubit permutations, semidirect law."""
+"""Letter-permutation action, qubit permutations, the semidirect action."""
 
 import random
 
@@ -8,24 +8,34 @@ from stabdb.pauli import StabGroup
 from stabdb.transform import (
     LETTER_NAMES,
     LETTER_PERMS,
+    LCPerm,
     LocalClifford,
     QubitPerm,
     apply_lcperm,
     apply_local_clifford,
     apply_perm,
-    compose,
-    compose_letters,
-    identity_lcperm,
-    inverse,
-    invert_letter,
-    letter_is_even,
-    random_lcperm,
+    lcperm_rows,
 )
-from util import random_stab_group
+from util import random_lcperm, random_stab_group
+
+CODES = "IXZY"  # the 2-bit letter codes LETTER_PERMS permutes
 
 
 def group(*strings, n=None):
     return StabGroup.from_strings(strings, n=n)
+
+
+def letter(name):
+    return LETTER_PERMS[LETTER_NAMES.index(name)]
+
+
+def after(a, b):
+    """The letter permutation "apply b, then a"."""
+    return tuple(a[v] for v in b)
+
+
+def inverted(p):
+    return tuple(sorted(range(4), key=p.__getitem__))
 
 
 class TestLetterTables:
@@ -36,24 +46,26 @@ class TestLetterTables:
             assert sorted(p) == [0, 1, 2, 3]
 
     def test_r_is_h_after_s(self):
-        i_h = LETTER_NAMES.index("H")
-        i_s = LETTER_NAMES.index("S")
-        assert compose_letters(i_h, i_s) == LETTER_NAMES.index("R")
-        assert compose_letters(i_s, i_h) == LETTER_NAMES.index("Ri")
+        assert after(letter("H"), letter("S")) == letter("R")
+        assert after(letter("S"), letter("H")) == letter("Ri")
 
     def test_v_is_hsh(self):
-        i_h = LETTER_NAMES.index("H")
-        i_s = LETTER_NAMES.index("S")
-        assert compose_letters(i_h, compose_letters(i_s, i_h)) == LETTER_NAMES.index("V")
+        assert after(letter("H"), after(letter("S"), letter("H"))) == letter("V")
 
     def test_inverses(self):
-        for a in range(6):
-            assert compose_letters(a, invert_letter(a)) == 0
-            assert compose_letters(invert_letter(a), a) == 0
+        # the table is a group: closed under composition and inverses
+        for a in LETTER_PERMS:
+            assert {after(a, b) for b in LETTER_PERMS} == set(LETTER_PERMS)
+            inv = inverted(a)
+            assert inv in LETTER_PERMS
+            assert after(a, inv) == after(inv, a) == letter("I")
 
     def test_parity(self):
         # the two 3-cycles and the identity are even, the swaps odd
-        assert [letter_is_even(a) for a in range(6)] == [
+        def even(p):
+            return sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0
+
+        assert [even(p) for p in LETTER_PERMS] == [
             True, False, False, True, True, False,
         ]
 
@@ -74,13 +86,12 @@ class TestApplyLocalClifford:
 
     def test_every_letter_on_every_input(self):
         # act on the single-qubit Paulis and compare against the table
-        codes = "IXZY"
         for gi in range(6):
             w = LocalClifford([gi])
             for v in range(1, 4):
-                g = StabGroup.from_strings([codes[v]])
+                g = StabGroup.from_strings([CODES[v]])
                 out = apply_local_clifford(g, w)
-                expect = codes[LETTER_PERMS[gi][v]]
+                expect = CODES[LETTER_PERMS[gi][v]]
                 assert out.generator_strings() == [expect]
 
     def test_preserves_rank_and_commutation(self):
@@ -115,42 +126,43 @@ class TestSemidirect:
     def test_identity_laws(self):
         rng = random.Random(3)
         for _ in range(10):
-            a = random_lcperm(4, rng)
-            e = identity_lcperm(4)
-            assert compose(e, a) == a
-            assert compose(a, e) == a
-
-    def test_inverse_law(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            a = random_lcperm(5, rng)
-            assert compose(a, inverse(a)).is_identity()
-            assert compose(inverse(a), a).is_identity()
-
-    def test_associativity(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            a, b, c = (random_lcperm(4, rng) for _ in range(3))
-            assert compose(compose(a, b), c) == compose(a, compose(b, c))
+            n = rng.randrange(1, 6)
+            g = random_stab_group(n, rng.randrange(n + 1), rng)
+            e = LCPerm(LocalClifford.identity(n), QubitPerm.identity(n))
+            assert apply_lcperm(g, e).gens == g.gens
+            assert lcperm_rows(e, g.gens.rows) == list(g.gens.rows)
 
     def test_action_property(self):
+        # qubit j's letter moves to qubit image[j] and takes the letter
+        # permutation listed there, on strings and on bare rows alike
         rng = random.Random(6)
         for _ in range(40):
             n = rng.randrange(1, 6)
             g = random_stab_group(n, rng.randrange(n + 1), rng)
             a = random_lcperm(n, rng)
-            b = random_lcperm(n, rng)
-            lhs = apply_lcperm(g, compose(a, b))
-            rhs = apply_lcperm(apply_lcperm(g, b), a)
-            assert lhs.gens == rhs.gens
+            expect = []
+            for s in g.generator_strings():
+                out = [""] * n
+                for j, c in enumerate(s):
+                    m = a.perm.image[j]
+                    out[m] = CODES[LETTER_PERMS[a.clifford.gates[m]][CODES.index(c)]]
+                expect.append("".join(out))
+            h = apply_lcperm(g, a)
+            assert h.generator_strings() == expect
+            assert lcperm_rows(a, g.gens.rows) == h.gens.rows
 
     def test_action_invertible(self):
+        # undo the letters where they now sit, then move the qubits back
         rng = random.Random(8)
         for _ in range(20):
             n = rng.randrange(1, 6)
             g = random_stab_group(n, rng.randrange(n + 1), rng)
             a = random_lcperm(n, rng)
-            back = apply_lcperm(apply_lcperm(g, a), inverse(a))
+            undo = LCPerm(
+                LocalClifford(inverted(LETTER_PERMS[i]) for i in a.clifford.gates),
+                QubitPerm.identity(n),
+            )
+            back = apply_perm(apply_lcperm(apply_lcperm(g, a), undo), a.perm.inverse())
             assert back.gens == g.gens
 
     def test_seeded_generation_reproducible(self):

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import random
 
 from stabdb.f2core import BitMatrix, rank, reduce_row, rref
 from stabdb.pauli import StabGroup, logical_rows, span_rows, symplectic_product
-from stabdb.transform import LocalClifford
+from stabdb.transform import LCPerm, LocalClifford, QubitPerm
 
 
 def random_stab_group(n: int, r: int, rng) -> StabGroup:
@@ -19,6 +20,15 @@ def random_stab_group(n: int, r: int, rng) -> StabGroup:
             continue
         rows.append(cand)
     return StabGroup(n, BitMatrix(2 * n, rows))
+
+
+def random_lcperm(n: int, seed=None) -> LCPerm:
+    """Uniformly random symmetry element; seed may be an int or a Random."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    image = list(range(n))
+    rng.shuffle(image)
+    gates = [rng.randrange(6) for _ in range(n)]
+    return LCPerm(LocalClifford(gates), QubitPerm(image))
 
 
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
