@@ -77,7 +77,7 @@ def _cmd_verify_mass(args) -> int:
     for n, k in cells:
         records = db.records(n, k)
         for rec in records:
-            rec.validate()  # so an |Aut| int() cannot read names its record
+            db.checked(rec)  # so an |Aut| int() cannot read names its record
         pairs = [(rec.canonical_key, int(rec.aut_group_size)) for rec in records]
         lhs, rhs, ok = mass_check(pairs, n, k)
         failed |= not ok
@@ -132,6 +132,8 @@ def _cmd_cws(args) -> int:
         if args.graph is None or args.code is None:
             raise ValueError("--to-stab needs --graph and --code")
         n = sum(1 for part in args.graph.split(";") if part)
+        if n == 0:
+            raise ValueError("cannot infer qubit count from an empty --graph")
         adjacency = _parse_bitrows(args.graph, n)
         gs = GraphState(adjacency)
         g = cws_to_stabilizer(gs, _parse_bitrows(args.code, gs.n))

@@ -230,11 +230,19 @@ def read_db(directory, n: int, k: int) -> list:
 
 
 class Database:
-    """All cells under one directory, loaded lazily per (n, k)."""
+    """All cells under one directory, loaded lazily per (n, k).
+
+    A Database reads each cell at most once and validates each record it
+    returns at most once, so the records it returns are shared between
+    calls and must not be changed.
+    """
 
     def __init__(self, directory):
         self.directory = Path(directory)
         self._cache = {}
+        # id(rec) of every validated record; the records stay alive in
+        # _cache, so no other object can take one of these ids
+        self._checked = set()
 
     def cells(self) -> list:
         """The (n, k) of every file named as write_db names a cell; other
@@ -247,13 +255,25 @@ class Database:
             self._cache[(n, k)] = read_db(self.directory, n, k)
         return self._cache[(n, k)]
 
+    def checked(self, rec: CodeRecord) -> CodeRecord:
+        """A record from ``records``, validated unless this Database already
+        validated it.  A record that fails is not marked, so every later
+        call on it raises again."""
+        if id(rec) not in self._checked:
+            rec.validate()
+            self._checked.add(id(rec))
+        return rec
+
 
 class Query:
     """Conjunctive equality filters over record fields, by field name; a
     filter given as None is not set, and every other value must have its
     field's schema type.
 
-    info_only skips the generator re-parse validation of each hit.
+    A query validates each hit (generators re-parsed, rank checked) the
+    first time its Database returns it, unless info_only is set; later
+    queries on the same Database reuse that result.  Hits are the
+    Database's shared records and must not be changed.
     """
 
     def __init__(self, *, info_only: bool = False, **filters):
@@ -284,9 +304,7 @@ def query(db: Database, q: Query) -> list:
             continue
         for rec in db.records(n, k):
             if pick(rec) == target:
-                if not q.info_only:
-                    rec.validate()
-                hits.append(rec)
+                hits.append(rec if q.info_only else db.checked(rec))
     return hits
 
 

@@ -179,6 +179,15 @@ def test_cws_conversions(capsys):
     assert StabGroup.from_strings(gens, 3).r == 2
 
 
+@pytest.mark.parametrize("graph", ["", ";"])
+def test_cws_to_stab_empty_graph_exits_2(graph, capsys):
+    # as --gens "" does: no rows give no qubit count, so no 0-qubit group
+    assert main(["cws", "--to-stab", "--graph", graph, "--code", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot infer qubit count")
+
+
 def test_dist_csv(cli_db, tmp_path, capsys):
     target = tmp_path / "out.csv"
     assert main(

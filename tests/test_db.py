@@ -399,6 +399,57 @@ def test_query_info_only_skips_validation(db3, tmp_path):
         query(Database(tmp_path), Query(n=3, k=0))
 
 
+def _corrupt_copy(directory, tmp_path):
+    """A copy of the n = 3 database whose first k = 0 record has generators
+    of the wrong rank, in the same JSON shape."""
+    for path in directory.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "codes_n3_k0.jsonl"
+    lines = target.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["generators"] = ["XII"]
+    lines[0] = json.dumps(obj, separators=(",", ":"))
+    target.write_text("".join(line + "\n" for line in lines))
+    return tmp_path
+
+
+def test_warm_queries_validate_each_record_once(db3, monkeypatch):
+    directory, records = db3
+    seen = []
+    validate = CodeRecord.validate
+
+    def counted(rec):
+        seen.append(id(rec))
+        validate(rec)
+
+    monkeypatch.setattr(CodeRecord, "validate", counted)
+    db = Database(directory)
+    first = query(db, Query())
+    assert len(seen) == len(first) == sum(map(len, records.values()))
+    for q in (Query(), Query(n=3, k=1), Query(is_css=True), Query(d=2)):
+        query(db, q)
+    assert sorted(seen) == sorted(map(id, first))
+    # a fresh Database validates its own records again
+    query(Database(directory), Query(n=3, k=1))
+    assert len(seen) == len(first) + 5
+
+
+def test_failed_validation_raises_on_every_query(db3, tmp_path):
+    db = Database(_corrupt_copy(db3[0], tmp_path))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"index=0\): generators have rank 1"):
+            query(db, Query(n=3, k=0))
+    # the records after the bad one are still reachable, and checked
+    assert [h.index for h in query(db, Query(n=3, k=0, index=1))] == [1]
+
+
+def test_info_only_query_does_not_mark_records_checked(db3, tmp_path):
+    db = Database(_corrupt_copy(db3[0], tmp_path))
+    assert len(query(db, Query(n=3, k=0, info_only=True))) == 3
+    with pytest.raises(ValueError, match="rank"):
+        query(db, Query(n=3, k=0))
+
+
 def test_stored_generators_recanonicalize(db3):
     directory, _ = db3
     db = Database(directory)
