@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref
 from .pauli import StabGroup, check_span, logical_rows
-from .transform import (
-    _SOURCES,
-    LETTER_NAMES,
-    LocalClifford,
-    _letter_rows,
-    apply_local_clifford,
-)
+from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
 __all__ = [
     "WeightEnum",
@@ -50,8 +44,6 @@ _SLICE_BITS = 16
 # does: about 1,300 times the most any class representative on up to 7
 # qubits needs (803).
 CSS_MAX_NODES = 1 << 20
-
-_CYCLE = LETTER_NAMES.index("R")  # X -> Y -> Z -> X
 
 
 @dataclass(frozen=True)
@@ -250,7 +242,7 @@ def css_representative(g: StabGroup):
 
     Searches the 6^n per-qubit letter permutations depth first in odometer
     order (qubit 0 first, gates in order I, H, S, R, Ri, V) and returns the
-    first (LocalClifford, transformed group) passing the rank split test.
+    first (LCPerm, transformed group) passing the rank split test.
     Each qubit adds its new X and Z columns to two incremental GF(2) bases.
     A letter permutation draws each new column from the qubit's x, z or
     x ^ z column, so a node reduces x and z against each basis, four
@@ -268,7 +260,7 @@ def css_representative(g: StabGroup):
     """
     n, r = g.n, g.r
     if r == 0:
-        return LocalClifford.identity(n), g
+        return LCPerm((0,) * n), g
     cols = []
     for j in range(n):
         cx = 0
@@ -328,8 +320,8 @@ def css_representative(g: StabGroup):
     del search  # it refers to itself: free the search state now
     if not found:
         return None
-    w = LocalClifford(gates)
-    return w, apply_local_clifford(g, w)
+    w = LCPerm(gates)
+    return w, apply_lcperm(g, w)
 
 
 def gf4_linear_test(g: StabGroup) -> bool:
@@ -341,7 +333,7 @@ def gf4_linear_test(g: StabGroup) -> bool:
     vectors over GF(4).
     """
     w = gf4_representative(g)
-    return w is not None and w.is_identity()
+    return w is not None and not any(w.gates)
 
 
 def gf4_representative(g: StabGroup):
@@ -362,7 +354,7 @@ def gf4_representative(g: StabGroup):
         return None
     reduced, pivots, _ = rref(g.gens)
     srows = reduced.rows[: len(pivots)]
-    cycled = _letter_rows(g.gens.rows, n, (_CYCLE,) * n)
+    cycled = lcperm_rows(LCPerm(("R",) * n), g.gens.rows)  # X -> Y -> Z -> X
     # one equation per generator and residue bit: p_j at bit j, the
     # right-hand side at bit n
     equations = []
@@ -386,7 +378,7 @@ def gf4_representative(g: StabGroup):
     pattern = [0] * n
     for row, j in zip(solved.rows, p_pivots):
         pattern[j] = row >> n
-    return LocalClifford(pattern)
+    return LCPerm(pattern)
 
 
 def decompose(g: StabGroup) -> DecompReport:

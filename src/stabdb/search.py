@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .canon import CanonicalKey, automorphisms, class_key
 from .f2core import BitMatrix, kernel, rref
 from .pauli import StabGroup, logical_rows, symplectic_product
-from .transform import LocalClifford, QubitPerm, apply_local_clifford, apply_perm, lcperm_rows
+from .transform import LCPerm, apply_lcperm, lcperm_rows
 
 
 @dataclass(frozen=True)
@@ -318,21 +318,20 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     logical = _lagrangian_firsts(logical_rows(g), n)
     full = BitMatrix(2 * n, list(g.gens.rows) + logical)
     _, p_x, _ = rref(full, range(n))
-    perm = QubitPerm(p_x + [j for j in range(n) if j not in p_x]).inverse()
-    h_layer = LocalClifford(["I"] * len(p_x) + ["H"] * (n - len(p_x)))
-    h_full = apply_local_clifford(
-        apply_perm(StabGroup(n, full, validate=False), perm), h_layer
+    order = p_x + [j for j in range(n) if j not in p_x]
+    relabel_h = LCPerm(
+        ["I"] * len(p_x) + ["H"] * (n - len(p_x)),
+        [order.index(j) for j in range(n)],
     )
+    h_full = apply_lcperm(StabGroup(n, full, validate=False), relabel_h)
     h_form = StabGroup(n, rref(h_full.gens, range(n))[0], validate=False)
-    s_layer = LocalClifford(
+    s_layer = LCPerm(
         ["S" if (row >> (n + j)) & 1 else "I"
          for j, row in enumerate(h_form.gens.rows)]
     )
-    graph = apply_local_clifford(h_form, s_layer)
+    graph = apply_lcperm(h_form, s_layer)
     gph = GraphState(BitMatrix(n, [row >> n for row in graph.gens.rows]))
-    image = apply_local_clifford(
-        apply_local_clifford(apply_perm(g, perm), h_layer), s_layer
-    )
+    image = apply_lcperm(apply_lcperm(g, relabel_h), s_layer)
     words = kernel(BitMatrix(n, [row & mask for row in image.gens.rows]))
     return gph, words
 

@@ -12,14 +12,15 @@ is Sym({X,Y,Z}) with 6 elements, named here
     V  = HSH    Y <-> Z
 
 The full symmetry group is the wreath-like semidirect product of n letter
-permutations with a qubit permutation; LCPerm carries one element.  Every
-letter permutation is linear on the (x, z) bit pair, which lets
-apply_local_clifford act on whole packed rows with three masks per part.
+permutations with a qubit permutation, of order 6^n n!.  LCPerm is its one
+element type: it moves the qubits first and then permutes the letter at
+each position, indexed by position after the move.  lcperm_rows acts on
+packed rows and apply_lcperm on groups.  Every letter permutation is linear
+on the (x, z) bit pair, which lets lcperm_rows act on whole packed rows
+with three masks per part.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .f2core import BitMatrix
 from .pauli import StabGroup
@@ -27,11 +28,7 @@ from .pauli import StabGroup
 __all__ = [
     "LETTER_NAMES",
     "LETTER_PERMS",
-    "LocalClifford",
-    "QubitPerm",
     "LCPerm",
-    "apply_local_clifford",
-    "apply_perm",
     "apply_lcperm",
     "lcperm_rows",
 ]
@@ -65,99 +62,47 @@ def _as_letter_index(g) -> int:
         if not 0 <= g < 6:
             raise ValueError(f"letter index out of range: {g}")
         return g
-    if isinstance(g, str):
-        try:
-            return _NAME_TO_INDEX[g]
-        except KeyError:
-            raise ValueError(f"unknown letter permutation name: {g!r}") from None
-    t = tuple(g)
     try:
-        return _INDEX_OF[t]
-    except KeyError:
-        raise ValueError(f"not a letter permutation: {t}") from None
+        return _NAME_TO_INDEX[g]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown letter permutation name: {g!r}") from None
 
 
-class LocalClifford:
-    """One letter permutation per qubit, stored as indices into LETTER_PERMS."""
+class LCPerm:
+    """One element of the symmetry group: a qubit permutation, then one
+    letter permutation per qubit.
 
-    __slots__ = ("gates",)
+    image[j] is where qubit j goes (the identity when omitted); gates[m]
+    indexes LETTER_PERMS, by name or index, and acts on the letter that
+    lands at position m.
+    """
 
-    def __init__(self, gates):
+    __slots__ = ("gates", "image")
+
+    def __init__(self, gates, image=None):
         self.gates = tuple(_as_letter_index(g) for g in gates)
-
-    @classmethod
-    def identity(cls, n: int) -> "LocalClifford":
-        return cls((0,) * n)
+        n = len(self.gates)
+        self.image = tuple(range(n)) if image is None else tuple(int(v) for v in image)
+        if sorted(self.image) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {self.image}")
 
     @property
     def n(self) -> int:
         return len(self.gates)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(LETTER_NAMES[g] for g in self.gates)
-
-    def is_identity(self) -> bool:
-        return all(g == 0 for g in self.gates)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, LocalClifford) and self.gates == other.gates
+        return (
+            isinstance(other, LCPerm)
+            and self.gates == other.gates
+            and self.image == other.image
+        )
 
     def __hash__(self) -> int:
-        return hash(self.gates)
+        return hash((self.gates, self.image))
 
     def __repr__(self) -> str:
-        return f"LocalClifford({','.join(self.names())})"
-
-
-class QubitPerm:
-    """A permutation of qubit positions; image[j] is where qubit j goes."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        img = tuple(int(v) for v in image)
-        if sorted(img) != list(range(len(img))):
-            raise ValueError(f"not a permutation of 0..{len(img) - 1}: {img}")
-        self.image = img
-
-    @classmethod
-    def identity(cls, n: int) -> "QubitPerm":
-        return cls(range(n))
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def inverse(self) -> "QubitPerm":
-        inv = [0] * self.n
-        for j, m in enumerate(self.image):
-            inv[m] = j
-        return QubitPerm(inv)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QubitPerm) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
-
-    def __repr__(self) -> str:
-        return f"QubitPerm({list(self.image)})"
-
-
-@dataclass(frozen=True)
-class LCPerm:
-    """A local Clifford followed by a qubit permutation (semidirect pair)."""
-
-    clifford: LocalClifford
-    perm: QubitPerm
-
-    def __post_init__(self):
-        if self.clifford.n != self.perm.n:
-            raise ValueError("clifford and permutation sizes differ")
-
-    @property
-    def n(self) -> int:
-        return self.perm.n
+        names = ",".join(LETTER_NAMES[g] for g in self.gates)
+        return f"LCPerm({names}; {list(self.image)})"
 
 
 def _masks(gates, side: int) -> list[int]:
@@ -168,14 +113,29 @@ def _masks(gates, side: int) -> list[int]:
     return m
 
 
-def _letter_rows(rows, n: int, gates) -> list[int]:
+def lcperm_rows(a: LCPerm, rows) -> list[int]:
+    """Images under a of packed [x|z] rows on a.n qubits, in order.
+
+    Unlike apply_lcperm the rows need not form a stabilizer group, so any
+    set of Paulis (a centralizer basis, say) can be moved.
+    """
+    n = a.n
     mask = (1 << n) - 1
-    ax, az, axz = _masks(gates, 0)
-    bx, bz, bxz = _masks(gates, 1)
+    moves = [(j, m) for j, m in enumerate(a.image) if j != m]
+    fixed = mask
+    for _, m in moves:
+        fixed ^= 1 << m
+    ax, az, axz = _masks(a.gates, 0)
+    bx, bz, bxz = _masks(a.gates, 1)
     new_rows = []
     for row in rows:
-        x = row & mask
-        z = row >> n
+        x0 = row & mask
+        z0 = row >> n
+        x = x0 & fixed
+        z = z0 & fixed
+        for j, m in moves:
+            x |= ((x0 >> j) & 1) << m
+            z |= ((z0 >> j) & 1) << m
         xz = x ^ z
         nx = (x & ax) | (z & az) | (xz & axz)
         nz = (x & bx) | (z & bz) | (xz & bxz)
@@ -183,51 +143,10 @@ def _letter_rows(rows, n: int, gates) -> list[int]:
     return new_rows
 
 
-def _perm_rows(rows, n: int, image) -> list[int]:
-    mask = (1 << n) - 1
-    new_rows = []
-    for row in rows:
-        x = row & mask
-        z = row >> n
-        nx = 0
-        nz = 0
-        for j in range(n):
-            if (x >> j) & 1:
-                nx |= 1 << image[j]
-            if (z >> j) & 1:
-                nz |= 1 << image[j]
-        new_rows.append(nx | (nz << n))
-    return new_rows
-
-
-def apply_local_clifford(g: StabGroup, w: LocalClifford) -> StabGroup:
-    """Permute the letters of every generator, qubit by qubit."""
-    if w.n != g.n:
-        raise ValueError("qubit counts differ")
-    rows = _letter_rows(g.gens.rows, g.n, w.gates)
-    return StabGroup(g.n, BitMatrix(2 * g.n, rows), validate=False)
-
-
-def apply_perm(g: StabGroup, p: QubitPerm) -> StabGroup:
-    """Move the letter at qubit j to qubit p.image[j] in every generator."""
-    if p.n != g.n:
-        raise ValueError("qubit counts differ")
-    rows = _perm_rows(g.gens.rows, g.n, p.image)
-    return StabGroup(g.n, BitMatrix(2 * g.n, rows), validate=False)
-
-
-def lcperm_rows(a: LCPerm, rows) -> list[int]:
-    """Images under a of packed [x|z] rows on a.n qubits, in order.
-
-    Unlike apply_lcperm the rows need not form a stabilizer group, so any
-    set of Paulis (a centralizer basis, say) can be moved.
-    """
-    return _letter_rows(_perm_rows(rows, a.n, a.perm.image), a.n, a.clifford.gates)
-
-
 def apply_lcperm(g: StabGroup, a: LCPerm) -> StabGroup:
-    """Act by a: permute qubits, then apply the letter permutations.
-
-    The letter list is indexed by post-permutation positions.
-    """
-    return apply_local_clifford(apply_perm(g, a.perm), a.clifford)
+    """Act by a: move the letter at qubit j to qubit a.image[j], then apply
+    the letter permutation a.gates[a.image[j]] to it."""
+    if a.n != g.n:
+        raise ValueError("qubit counts differ")
+    rows = lcperm_rows(a, g.gens.rows)
+    return StabGroup(g.n, BitMatrix(2 * g.n, rows), validate=False)

@@ -22,13 +22,7 @@ from stabdb.canon import (
 from stabdb.db import build_records
 from stabdb.pauli import StabGroup
 from stabdb.search import enumerate_classes, extend_class
-from stabdb.transform import (
-    LETTER_PERMS,
-    LCPerm,
-    LocalClifford,
-    QubitPerm,
-    apply_lcperm,
-)
+from stabdb.transform import LETTER_PERMS, LCPerm, apply_lcperm
 from util import closure_order, random_lcperm, random_stab_group
 
 
@@ -268,9 +262,8 @@ class TestKnownAutSizes:
             target = g.canonical_gens()
             count = 0
             for image in itertools.permutations(range(n)):
-                p = QubitPerm(image)
                 for gates in itertools.product(range(6), repeat=n):
-                    lp = LCPerm(LocalClifford(gates), p)
+                    lp = LCPerm(gates, image)
                     if apply_lcperm(g, lp).canonical_gens() == target:
                         count += 1
             assert aut_size(g) == count
@@ -280,8 +273,8 @@ def _letter_point_perm(a: LCPerm) -> tuple:
     """a as a permutation of the 3n points (qubit j, letter X/Z/Y), which
     it permutes faithfully: qubit j's letter moves to qubit image[j]."""
     out = [0] * (3 * a.n)
-    for j, m in enumerate(a.perm.image):
-        letters = LETTER_PERMS[a.clifford.gates[m]]
+    for j, m in enumerate(a.image):
+        letters = LETTER_PERMS[a.gates[m]]
         for code in (1, 2, 3):
             out[3 * j + code - 1] = 3 * m + letters[code] - 1
     return tuple(out)

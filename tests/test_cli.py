@@ -333,6 +333,7 @@ def test_usage_errors_exit_2_subprocess():
         ["query"],  # missing required --db
         ["bogus-command"],
         ["enumerate", "--n", "2", "--out", "/tmp/x", "--strategy", "weird"],  # unknown option
+        ["canon", "--gens", "Z" + "I" * 499],  # over the qubit budget
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "stabdb.cli", *argv],
@@ -340,6 +341,7 @@ def test_usage_errors_exit_2_subprocess():
             capture_output=True,
         )
         assert proc.returncode == 2, argv
+        assert b"Traceback" not in proc.stderr, argv
 
 
 def test_cli_runs_without_numpy():

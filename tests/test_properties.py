@@ -26,11 +26,7 @@ from stabdb.properties import (
     weight_enumerator,
 )
 from stabdb.search import enumerate_classes
-from stabdb.transform import (
-    LocalClifford,
-    apply_lcperm,
-    apply_local_clifford,
-)
+from stabdb.transform import LCPerm, apply_lcperm
 
 from reference_data import (
     CLASS_ROWS,
@@ -304,10 +300,8 @@ def test_css_witness_is_first_odometer_hit():
                 first = next(
                     (
                         w
-                        for w in map(
-                            LocalClifford, itertools.product(range(6), repeat=n)
-                        )
-                        if css_rank_test(apply_local_clifford(e.rep, w))
+                        for w in map(LCPerm, itertools.product(range(6), repeat=n))
+                        if css_rank_test(apply_lcperm(e.rep, w))
                     ),
                     None,
                 )
@@ -317,7 +311,7 @@ def test_css_witness_is_first_odometer_hit():
                 else:
                     w, image = res
                     assert w == first, e.rep
-                    assert image.gens == apply_local_clifford(e.rep, w).gens
+                    assert image.gens == apply_lcperm(e.rep, w).gens
 
 
 def test_css_reference_counts_small():
@@ -362,7 +356,7 @@ def test_gf4_representative():
     g = StabGroup.from_strings(["XZ", "ZX"])
     w = gf4_representative(g)
     assert w is not None
-    assert gf4_linear_test(apply_lcperm_letters(g, w))
+    assert gf4_linear_test(apply_lcperm(g, w))
     # already linear: identity pattern comes first
     bell = StabGroup.from_strings(["XX", "ZZ"])
     assert list(gf4_representative(bell).gates) == [0, 0]
@@ -401,12 +395,6 @@ def test_gf4_representative_is_fast_on_20_qubits():
     start = time.perf_counter()
     gf4_representative(g)
     assert time.perf_counter() - start < 1.0
-
-
-def apply_lcperm_letters(g, clifford):
-    from stabdb.transform import apply_local_clifford
-
-    return apply_local_clifford(g, clifford)
 
 
 # ------------------------------------------------------------ decomposition

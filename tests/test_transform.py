@@ -1,4 +1,4 @@
-"""Letter-permutation action, qubit permutations, the semidirect action."""
+"""LCPerm: letter permutations, qubit permutations, the semidirect action."""
 
 import random
 
@@ -9,11 +9,7 @@ from stabdb.transform import (
     LETTER_NAMES,
     LETTER_PERMS,
     LCPerm,
-    LocalClifford,
-    QubitPerm,
     apply_lcperm,
-    apply_local_clifford,
-    apply_perm,
     lcperm_rows,
 )
 from util import random_lcperm, random_stab_group
@@ -35,7 +31,7 @@ def after(a, b):
 
 
 def inverted(p):
-    return tuple(sorted(range(4), key=p.__getitem__))
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 class TestLetterTables:
@@ -70,27 +66,43 @@ class TestLetterTables:
         ]
 
 
-class TestApplyLocalClifford:
+class TestLCPerm:
+    def test_names_and_indices(self):
+        a = LCPerm(["I", "H", "Ri", 3, 5])
+        assert a.gates == (0, 1, 4, 3, 5)
+        assert a.image == (0, 1, 2, 3, 4)
+        assert a == LCPerm([0, 1, 4, 3, 5], range(5))
+        assert hash(a) == hash(LCPerm([0, 1, 4, 3, 5], range(5)))
+        assert a != LCPerm([0, 1, 4, 3, 5], [1, 0, 2, 3, 4])
+        assert LCPerm(["V", "S"]).n == 2
+
+    def test_rejects_bad_letters(self):
+        for gates in ([6], [-1], ["X"], [(0, 2, 1, 3)]):
+            with pytest.raises(ValueError):
+                LCPerm(gates)
+
+
+class TestApplyLetters:
     def test_hadamard_both(self):
-        g = apply_local_clifford(group("XX"), LocalClifford(["H", "H"]))
+        g = apply_lcperm(group("XX"), LCPerm(["H", "H"]))
         assert g.generator_strings() == ["ZZ"]
 
     def test_identity(self):
         g = group("XZ", "ZX")
-        out = apply_local_clifford(g, LocalClifford.identity(2))
+        out = apply_lcperm(g, LCPerm(["I", "I"]))
         assert out.generator_strings() == g.generator_strings()
 
     def test_cycle_on_one_qubit(self):
-        g = apply_local_clifford(group("XZ"), LocalClifford(["R", "I"]))
+        g = apply_lcperm(group("XZ"), LCPerm(["R", "I"]))
         assert g.generator_strings() == ["YZ"]
 
     def test_every_letter_on_every_input(self):
         # act on the single-qubit Paulis and compare against the table
         for gi in range(6):
-            w = LocalClifford([gi])
+            w = LCPerm([gi])
             for v in range(1, 4):
                 g = StabGroup.from_strings([CODES[v]])
-                out = apply_local_clifford(g, w)
+                out = apply_lcperm(g, w)
                 expect = CODES[LETTER_PERMS[gi][v]]
                 assert out.generator_strings() == [expect]
 
@@ -98,28 +110,29 @@ class TestApplyLocalClifford:
         rng = random.Random(7)
         for _ in range(25):
             g = random_stab_group(4, rng.randrange(5), rng)
-            w = LocalClifford([rng.randrange(6) for _ in range(4)])
-            out = apply_local_clifford(g, w)
+            w = LCPerm([rng.randrange(6) for _ in range(4)])
+            out = apply_lcperm(g, w)
             StabGroup(out.n, out.gens)  # validate=True checks both
 
 
 class TestApplyPerm:
     def test_swap(self):
-        g = apply_perm(group("XIZ"), QubitPerm([0, 2, 1]))
+        g = apply_lcperm(group("XIZ"), LCPerm("III", [0, 2, 1]))
         assert g.generator_strings() == ["XZI"]
 
     def test_identity(self):
         g = group("XYZ")
-        assert apply_perm(g, QubitPerm.identity(3)).generator_strings() == ["XYZ"]
+        assert apply_lcperm(g, LCPerm("III", range(3))).generator_strings() == ["XYZ"]
 
     def test_three_cycle_on_decomposable_group(self):
         g = group("IIIX", "ZZII", "IZZI")
-        out = apply_perm(g, QubitPerm([0, 2, 3, 1]))
+        out = apply_lcperm(g, LCPerm("IIII", [0, 2, 3, 1]))
         assert out.generator_strings() == ["IXII", "ZIZI", "IIZZ"]
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            QubitPerm([0, 0, 1])
+        for image in ([0, 0, 1], [0, 1], [1, 2, 3]):
+            with pytest.raises(ValueError):
+                LCPerm("III", image)
 
 
 class TestSemidirect:
@@ -128,9 +141,9 @@ class TestSemidirect:
         for _ in range(10):
             n = rng.randrange(1, 6)
             g = random_stab_group(n, rng.randrange(n + 1), rng)
-            e = LCPerm(LocalClifford.identity(n), QubitPerm.identity(n))
-            assert apply_lcperm(g, e).gens == g.gens
-            assert lcperm_rows(e, g.gens.rows) == list(g.gens.rows)
+            for e in (LCPerm(["I"] * n), LCPerm([0] * n, range(n))):
+                assert apply_lcperm(g, e).gens == g.gens
+                assert lcperm_rows(e, g.gens.rows) == list(g.gens.rows)
 
     def test_action_property(self):
         # qubit j's letter moves to qubit image[j] and takes the letter
@@ -144,8 +157,8 @@ class TestSemidirect:
             for s in g.generator_strings():
                 out = [""] * n
                 for j, c in enumerate(s):
-                    m = a.perm.image[j]
-                    out[m] = CODES[LETTER_PERMS[a.clifford.gates[m]][CODES.index(c)]]
+                    m = a.image[j]
+                    out[m] = CODES[LETTER_PERMS[a.gates[m]][CODES.index(c)]]
                 expect.append("".join(out))
             h = apply_lcperm(g, a)
             assert h.generator_strings() == expect
@@ -153,17 +166,18 @@ class TestSemidirect:
 
     def test_action_invertible(self):
         # undo the letters where they now sit, then move the qubits back
+        # along the inverted image
         rng = random.Random(8)
         for _ in range(20):
             n = rng.randrange(1, 6)
             g = random_stab_group(n, rng.randrange(n + 1), rng)
             a = random_lcperm(n, rng)
             undo = LCPerm(
-                LocalClifford(inverted(LETTER_PERMS[i]) for i in a.clifford.gates),
-                QubitPerm.identity(n),
+                LETTER_PERMS.index(inverted(LETTER_PERMS[i])) for i in a.gates
             )
-            back = apply_perm(apply_lcperm(apply_lcperm(g, a), undo), a.perm.inverse())
-            assert back.gens == g.gens
+            back = LCPerm([0] * n, inverted(a.image))
+            out = apply_lcperm(apply_lcperm(apply_lcperm(g, a), undo), back)
+            assert out.gens == g.gens
 
     def test_seeded_generation_reproducible(self):
         assert random_lcperm(5, 123) == random_lcperm(5, 123)

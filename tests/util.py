@@ -5,7 +5,7 @@ import random
 
 from stabdb.f2core import BitMatrix, rank, reduce_row, rref
 from stabdb.pauli import StabGroup, logical_rows, span_rows, symplectic_product
-from stabdb.transform import LCPerm, LocalClifford, QubitPerm
+from stabdb.transform import LCPerm
 
 
 def random_stab_group(n: int, r: int, rng) -> StabGroup:
@@ -28,7 +28,7 @@ def random_lcperm(n: int, seed=None) -> LCPerm:
     image = list(range(n))
     rng.shuffle(image)
     gates = [rng.randrange(6) for _ in range(n)]
-    return LCPerm(LocalClifford(gates), QubitPerm(image))
+    return LCPerm(gates, image)
 
 
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -195,5 +195,5 @@ def brute_gf4_representative(g: StabGroup):
             if reduce_row(srows, pivots, nx | (nz << n)):
                 break
         else:
-            return LocalClifford(pattern)
+            return LCPerm(pattern)
     return None
