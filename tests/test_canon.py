@@ -23,7 +23,12 @@ from stabdb.db import build_records
 from stabdb.pauli import StabGroup
 from stabdb.search import enumerate_classes, extend_class
 from stabdb.transform import LETTER_PERMS, LCPerm, apply_lcperm
-from util import closure_order, random_lcperm, random_stab_group
+from util import (
+    closure_order,
+    random_lcperm,
+    random_stab_group,
+    reference_refine,
+)
 
 
 def group(*strings, n=None):
@@ -100,6 +105,27 @@ class TestBuildCodeGraph:
     def test_rejects_loops(self):
         with pytest.raises(ValueError, match="loop"):
             ColoredGraph(2, (1, 2), [(0, 0)])
+
+    def test_direct_build_matches_validated_graph(self, full_enumeration):
+        # build_code_graph lays out adj and the sorted edges itself; they
+        # must be what ColoredGraph's validate, dedupe and sort pass leaves
+        groups = [
+            e.rep
+            for n in range(1, 6)
+            for entries in full_enumeration[n]["classes"].values()
+            for e in entries
+        ]
+        groups += [group(n=4), group("ZIZ", "XIX"), group("IXIZ")]
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randrange(1, 10)
+            groups.append(random_stab_group(n, rng.randrange(n + 1), rng))
+        assert any(g.r == 0 for g in groups)
+        for g in groups:
+            gph = build_code_graph(g)
+            checked = ColoredGraph(gph.nverts, gph.colors, gph.edges)
+            assert gph == checked
+            assert gph.adj == checked.adj
 
     def test_black_neighborhoods_distinct(self):
         # faithfulness: distinct span elements touch distinct white sets
@@ -189,6 +215,22 @@ def _cycle(n):
     return [(i, (i + 1) % n) for i in range(n)]
 
 
+def _random_colored_graphs():
+    """200 seeded random two-colored graphs on 1 to 7 vertices."""
+    rng = random.Random(31)
+    for _ in range(200):
+        nv = rng.randrange(1, 8)
+        density = rng.random()
+        edges = [
+            (u, v)
+            for u in range(nv)
+            for v in range(u + 1, nv)
+            if rng.random() < density
+        ]
+        colors = [rng.choice([1, 2]) for _ in range(nv)]
+        yield ColoredGraph(nv, colors, edges)
+
+
 class TestAutOrder:
     @pytest.mark.parametrize(
         "nverts,edges,expect",
@@ -217,22 +259,74 @@ class TestAutOrder:
         assert len(aut.generators) <= nverts - 1
 
     def test_random_colored_graphs(self):
-        rng = random.Random(31)
-        for _ in range(200):
-            nv = rng.randrange(1, 8)
-            density = rng.random()
-            edges = [
-                (u, v)
-                for u in range(nv)
-                for v in range(u + 1, nv)
-                if rng.random() < density
-            ]
-            colors = [rng.choice([1, 2]) for _ in range(nv)]
-            gph = ColoredGraph(nv, colors, edges)
+        for gph in _random_colored_graphs():
+            nv = gph.nverts
             aut = canonical_form(gph)[1]
             assert aut.size == _count_automorphisms(gph)
             assert closure_order(aut.generators, nv) == aut.size
             assert len(aut.generators) <= nv - 1
+
+
+class TestRefine:
+    """refine splits against a one-vertex cell without counting, and skips
+    a touched cell whose counted vertices fill it with one count; every
+    call must leave exactly the ordered partition the reference does."""
+
+    @pytest.fixture
+    def checked_calls(self, monkeypatch):
+        calls = []
+        refine = canon._Partition.refine
+
+        def checked(part, adj, worklist):
+            expect = part.copy()
+            reference_refine(expect, adj, worklist)
+            refine(part, adj, worklist)
+            assert part.order == expect.order
+            assert part.start == expect.start
+            assert part.end == expect.end
+            assert part.nbig == expect.nbig
+            calls.append(1)
+
+        monkeypatch.setattr(canon._Partition, "refine", checked)
+        return calls
+
+    def test_searches_match_reference(self, checked_calls, full_enumeration):
+        graphs = [
+            build_code_graph(e.rep)
+            for n in range(1, 6)
+            for entries in full_enumeration[n]["classes"].values()
+            for e in entries
+        ]
+        rng = random.Random(19)
+        for g in N7_CODES.values():
+            for _ in range(10):
+                graphs.append(build_code_graph(apply_lcperm(g, random_lcperm(7, rng))))
+        graphs += _random_colored_graphs()
+        for gph in graphs:  # graphs: no search is remembered
+            canonical_form(gph)
+        assert len(checked_calls) > len(graphs)
+
+    def test_one_vertex_splitter_fills_a_cell(self, checked_calls):
+        # 0 is joined to all of {1, 2, 3}, which does not split, and to 4
+        # but not 5, which splits {4, 5}
+        adj = ColoredGraph(6, [1] * 6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)]).adj
+        part = canon._Partition([[0], [1, 2, 3], [4, 5]])
+        part.refine(adj, [0])
+        assert part.order == [0, 1, 2, 3, 5, 4]
+        assert len(checked_calls) == 1
+
+    def test_splitter_cuts_a_queued_cell(self, checked_calls):
+        # individualizing 0 queues {0} and the rest {1, 2, 3}; {0} splits
+        # the rest into {1} and its neighbours {2, 3} while the rest is
+        # still queued, so {2, 3} is queued although it is the larger
+        # fragment, and only {2, 3} splits {4, 5}
+        adj = ColoredGraph(6, [1] * 6, [(0, 2), (0, 3), (2, 4)]).adj
+        part = canon._Partition([[0, 1, 2, 3], [4, 5]])
+        worklist = part.individualize(0)
+        assert worklist == (0, 1)
+        part.refine(adj, worklist)
+        assert part.order == [0, 1, 3, 2, 5, 4]
+        assert part.nbig == 0
 
 
 class TestKnownAutSizes:
@@ -448,6 +542,35 @@ class TestExactPruning:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSearchWork:
+    """The search's work as machine-independent counts: a change that
+    grows the search tree fails here."""
+
+    def test_census_n5_counts(self, monkeypatch):
+        # fresh groups and an empty table, so every search runs: one
+        # refine per node (each root and each individualized child), one
+        # _leaf_cert per leaf that no automorphism check caught
+        monkeypatch.setattr(canon, "_searched", weakref.WeakKeyDictionary())
+        counts = {"search": 0, "refine": 0, "leaf_cert": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            canon, "_canonical_search", counted("search", canon._canonical_search)
+        )
+        monkeypatch.setattr(
+            canon._Partition, "refine", counted("refine", canon._Partition.refine)
+        )
+        monkeypatch.setattr(canon, "_leaf_cert", counted("leaf_cert", canon._leaf_cert))
+        enumerate_classes(5)
+        assert counts == {"search": 445, "refine": 4324, "leaf_cert": 448}
 
 
 class TestOneSearchPerGroup:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import deque
 
 from stabdb.f2core import BitMatrix, rank, reduce_row, rref
 from stabdb.pauli import StabGroup, logical_rows, span_rows, symplectic_product
@@ -197,3 +198,49 @@ def brute_gf4_representative(g: StabGroup):
         else:
             return LCPerm(pattern)
     return None
+
+
+def reference_refine(part, adj, worklist):
+    """canon._Partition.refine as it was before its one-vertex and no-split
+    paths: count every vertex's neighbours in the splitting cell, then group
+    every touched cell by count (the oracle the faster refine must match)."""
+    self = part
+    order, start, end = self.order, self.start, self.end
+    queue = deque(worklist)
+    inq = set(queue)
+    while queue and self.nbig:  # a discrete partition cannot split
+        w = queue.popleft()
+        inq.discard(w)
+        cnt = {}
+        for u in order[w : end[w]]:
+            for nb in adj[u]:
+                cnt[nb] = cnt.get(nb, 0) + 1
+        touched = {start[nb] for nb in cnt}
+        for s in sorted(touched):
+            e = end[s]
+            if e - s == 1:
+                continue
+            groups = {}
+            for v in order[s:e]:
+                groups.setdefault(cnt.get(v, 0), []).append(v)
+            if len(groups) == 1:
+                continue
+            parts = [groups[key] for key in sorted(groups)]
+            order[s:e] = [v for p in parts for v in p]
+            names = []
+            pos = s
+            for p in parts:
+                if pos != s:
+                    for v in p:
+                        start[v] = pos
+                names.append(pos)
+                end[pos] = pos + len(p)
+                pos += len(p)
+            self.nbig += sum(1 for p in parts if len(p) > 1) - 1
+            if s in inq:
+                fresh = names[1:]
+            else:
+                largest = max(range(len(parts)), key=lambda i: len(parts[i]))
+                fresh = names[:largest] + names[largest + 1 :]
+            queue.extend(fresh)
+            inq.update(fresh)
