@@ -1,40 +1,45 @@
 """
-Graph states under local complementation
+Graph states, grown one vertex at a time
 ========================================
 
 Every maximal stabilizer group (k = 0) is locally equivalent to a graph
 state, and two graph states are equivalent exactly when their graphs are
-related by local complementations plus vertex relabelings.  So counting
-those combinatorial orbits must reproduce the k = 0 class counts, and it
-does, without touching a single Pauli matrix.
+related by local complementations plus vertex relabelings.  So the k = 0
+classes can be counted on graphs alone, and grown one vertex at a time:
+give each class representative on m - 1 vertices a new vertex with every
+possible neighbourhood, and keep one graph per class.  A local
+complementation away from the new vertex acts on the other vertices as it
+would without it, so no class on m vertices is missed.  The chain runs
+1, 2, 3, 6, 11, 26.
 """
 
 from stabdb.canon import class_key
 from stabdb.search import enumerate_classes, graphstate_orbits
 
-for n in range(1, 6):
+# each call grows its chain from one vertex; the candidates at n are the
+# n - 1 representatives times the 2^(n-1) neighbourhoods of the new vertex
+previous = 1
+for n in range(1, 7):
     orbits = graphstate_orbits(n)
-    maximal = enumerate_classes(n, k_min=0)[(n, 0)]
-    print(f"n={n}: {len(orbits)} graph orbits, {len(maximal)} maximal classes")
-    assert len(orbits) == len(maximal)
-
-# the graph walk alone scales further: 26 orbits at n = 6 in under a
-# second, where the full class enumeration takes the better part of a
-# minute (it also builds every k > 0 level on the way)
-print(f"n=6: {len(graphstate_orbits(6))} graph orbits")
+    grown = f" from {previous} x {1 << (n - 1)} candidates" if n > 1 else ""
+    print(f"n={n}: {len(orbits)} graph orbits{grown}")
+    previous = len(orbits)
+assert previous == 26
 
 # the correspondence is exact, not just numerical: the stabilizers of the
-# orbit representatives hit every canonical key once
+# orbit representatives hit every canonical key of the census's k = 0
+# cell once
 n = 5
-keys = {class_key(gs.stabilizer()) for gs in graphstate_orbits(n)}
+orbits = graphstate_orbits(n)
+keys = {class_key(gs.stabilizer()) for gs in orbits}
 expect = {e.key for e in enumerate_classes(n)[(n, 0)]}
 print()
 print(f"n={n}: orbit keys == class keys:", keys == expect)
+assert keys == expect
 
 # the n = 5 orbit representatives, one adjacency per line (rows joined
 # by commas), sorted by edge count: from the empty graph to dense ones
-reps = sorted(graphstate_orbits(5), key=lambda gs: sum(r.bit_count() for r in gs.adjacency.rows))
-for gs in reps:
+for gs in sorted(orbits, key=lambda gs: sum(r.bit_count() for r in gs.adjacency.rows)):
     rows = ",".join(format(r, "05b")[::-1] for r in gs.adjacency.rows)
     edges = sum(r.bit_count() for r in gs.adjacency.rows) // 2
     print(f"  {edges:2d} edges  {rows}")

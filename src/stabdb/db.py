@@ -217,15 +217,19 @@ def write_db(records: dict, directory) -> list:
 
 def read_db(directory, n: int, k: int) -> list:
     """Records of one cell, in file (= index) order; a line that is not a
-    UTF-8 record raises, naming the file and line."""
+    UTF-8 record of this cell raises, naming the file and line."""
     path = os.path.join(directory, _cell_name(n, k))
     records = []
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
-                records.append(CodeRecord.from_json(line.decode("utf-8")))
+                rec = CodeRecord.from_json(line.decode("utf-8"))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt record: {exc}")
+            if rec.n != n or rec.k != k:
+                where = f"{path}:{lineno}: record of cell (n={rec.n}, k={rec.k})"
+                raise ValueError(f"{where} filed under cell (n={n}, k={k})")
+            records.append(rec)
     return records
 
 
@@ -313,6 +317,8 @@ def emit_distributions(db: Database, n: int) -> str:
 
     Requires every cell (n, 0..n) to be present; raises otherwise.
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     present = {k for (m, k) in db.cells() if m == n}
     missing = set(range(n + 1)) - present
     if missing:

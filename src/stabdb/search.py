@@ -7,7 +7,8 @@ the representative's automorphism group land in one class, so only one
 per orbit is canonicalized (canonical augmentation, McKay 1998).
 
 The codeword search, cws_enumerate, independently pairs graph orbit
-representatives with classical linear codes.  No command runs it; the
+representatives, grown one vertex at a time through the census's
+deduplicating loop, with classical linear codes.  No command runs it; the
 tests check that its key sets agree with the census, which together with
 the mass identity certifies completeness of the transversal.
 """
@@ -149,6 +150,8 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
     a representative's extensions meet every class of supergroups, so no
     class is missed.
     """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     if not 0 <= k_min <= n:
         raise ValueError("need 0 <= k_min <= n")
     trivial = StabGroup.from_strings([], n)
@@ -163,76 +166,32 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
 
 
 def graphstate_orbits(n: int) -> list[GraphState]:
-    """One graph per orbit under graph isomorphism + local complementation.
+    """One graph per class of maximal (k = 0) groups, in canonical key order.
 
-    Walks every labeled graph once: each unvisited graph seeds a closure
-    under single local complementations and adjacent vertex
-    transpositions, and the seed (the smallest unvisited encoding) is the
-    orbit representative.  Refuses n > 7, where the visited bitmap of
-    2^(n(n-1)/2) bytes would take 268 MB (n = 8) or 64 GB (n = 9).
+    Each representative on m - 1 vertices gets a new vertex v = m - 1 with
+    each of the 2^(m-1) neighbourhoods, and _transversal keeps one candidate
+    group, in graph form, per class.  Local complementation at w != v, and
+    any relabeling that fixes v, restrict to G - v, so any graph G can be
+    moved to R + v, R the chosen representative of G - v's class.  And the
+    k = 0 classes are exactly the graph orbits under local complementation
+    plus isomorphism (Van den Nest et al. 2004; Danielsen and Parker 2006).
     """
-    if n > 7:
-        raise ValueError(
-            f"graph-state search refuses n = {n} > 7: "
-            f"its bitmap would take 2^{n * (n - 1) // 2} bytes"
-        )
-    if n == 0:
+    if n < 1:
         return []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    nbits = len(pairs)
-
-    def rows_of(code):
-        rows = [0] * n
-        for t, (i, j) in enumerate(pairs):
-            if (code >> t) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        return rows
-
-    def encode(rows):
-        code = 0
-        for t, (i, j) in enumerate(pairs):
-            if (rows[i] >> j) & 1:
-                code |= 1 << t
-        return code
-
-    def local_complement(rows, v):
-        new = list(rows)
-        nbh = rows[v]
-        for a in range(n):
-            if (nbh >> a) & 1:
-                new[a] ^= nbh & ~(1 << a)
-        return new
-
-    def swap_adjacent(rows, a):
-        b = a + 1
-        new = []
-        for i in range(n):
-            row = rows[a] if i == b else rows[b] if i == a else rows[i]
-            bit_a = (row >> a) & 1
-            bit_b = (row >> b) & 1
-            row &= ~((1 << a) | (1 << b))
-            new.append(row | (bit_b << a) | (bit_a << b))
-        return new
-
-    seen = bytearray(1 << nbits)
-    reps = []
-    for code in range(1 << nbits):
-        if seen[code]:
-            continue
-        reps.append(GraphState(BitMatrix(n, rows_of(code))))
-        seen[code] = 1
-        stack = [code]
-        while stack:
-            rows = rows_of(stack.pop())
-            moves = [local_complement(rows, v) for v in range(n)]
-            moves += [swap_adjacent(rows, a) for a in range(n - 1)]
-            for new_rows in moves:
-                e = encode(new_rows)
-                if not seen[e]:
-                    seen[e] = 1
-                    stack.append(e)
-    return reps
+    reps = [[0]]  # adjacency rows of the graph on one vertex
+    for m in range(2, n + 1):
+        candidates = (
+            GraphState(BitMatrix(m, [
+                row | ((nbh >> i) & 1) << (m - 1) for i, row in enumerate(rows)
+            ] + [nbh])).stabilizer()
+            for rows in reps
+            for nbh in range(1 << (m - 1))  # vertex m - 1's neighbours
+        )
+        reps = [
+            [row >> m for row in entry.rep.gens.rows]
+            for entry in _transversal(candidates)
+        ]
+    return [GraphState(BitMatrix(n, rows)) for rows in reps]
 
 
 def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:

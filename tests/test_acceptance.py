@@ -15,7 +15,7 @@ from stabdb.canon import class_key
 from stabdb.db import build_records, write_db
 from stabdb.f2core import BitMatrix, kernel, rank, rref
 from stabdb.properties import decompose
-from stabdb.search import cws_enumerate, enumerate_classes
+from stabdb.search import cws_enumerate, enumerate_classes, graphstate_orbits
 from stabdb.transform import apply_lcperm
 from stabdb.verify import mass_check, nlp_count
 
@@ -212,6 +212,18 @@ def test_cross_strategy_agreement(full_enumeration):
             assert got == [e.key for e in classes[(n, k)]]
 
 
+def test_graphstate_orbits_are_the_k0_cell(full_enumeration):
+    # one graph per k = 0 class, in key order, each group in graph form
+    for n in range(1, 7):
+        orbits = graphstate_orbits(n)
+        cell = full_enumeration[n]["classes"][(n, 0)]
+        assert [class_key(gs.stabilizer()) for gs in orbits] == [e.key for e in cell]
+        for gs in orbits:
+            rows = gs.stabilizer().gens.rows
+            assert [row & ((1 << n) - 1) for row in rows] == [1 << j for j in range(n)]
+            assert [row >> n for row in rows] == gs.adjacency.rows
+
+
 def test_canonical_key_invariance_1000(full_enumeration):
     rng = random.Random(99)
     pool = [
@@ -273,6 +285,10 @@ def test_n7_stretch(tmp_path):
     counts = tuple(len(classes[(7, k)]) for k in range(8))
     assert counts == CLASS_COUNTS[7]
     assert sum(counts) == 2757
+
+    orbits = graphstate_orbits(7)
+    assert len(orbits) == 59
+    assert [class_key(gs.stabilizer()) for gs in orbits] == [e.key for e in classes[(7, 0)]]
 
     records = build_records(classes)
     write_db(records, tmp_path)

@@ -296,6 +296,30 @@ def test_non_object_record_line_exits_2(cli_db, tmp_path, capsys):
         ), argv
 
 
+def test_misfiled_record_exits_2(cli_db, tmp_path, capsys):
+    # a k = 1 record appended to the k = 0 file was once counted, listed
+    # and summed as a k = 0 class
+    for path in cli_db.glob("*.jsonl"):
+        shutil.copy(path, tmp_path / path.name)
+    target = tmp_path / "codes_n2_k0.jsonl"
+    stray = (tmp_path / "codes_n2_k1.jsonl").read_text().splitlines()[0]
+    with open(target, "a", encoding="utf-8") as handle:
+        handle.write(stray + "\n")
+    for argv in (
+        ["query", "--db", str(tmp_path), "--n", "2"],
+        ["dist", "--db", str(tmp_path), "--n", "2", "--csv", str(tmp_path / "out.csv")],
+        ["verify-mass", "--db", str(tmp_path)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {target}:3: record of cell (n=2, k=1) "
+            "filed under cell (n=2, k=0)\n"
+        ), argv
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_non_utf8_byte_exits_2(cli_db, tmp_path, capsys):
     # each line is decoded on its own, so the error names the file and line
     for path in cli_db.glob("*.jsonl"):
@@ -327,13 +351,16 @@ def test_readme_commands_parse():
         assert parser.parse_args(argv).func, line
 
 
-def test_usage_errors_exit_2_subprocess():
+def test_usage_errors_exit_2_subprocess(tmp_path):
+    csv = tmp_path / "out.csv"
     for argv in (
         ["enumerate"],  # missing required --n/--out
         ["query"],  # missing required --db
         ["bogus-command"],
         ["enumerate", "--n", "2", "--out", "/tmp/x", "--strategy", "weird"],  # unknown option
         ["canon", "--gens", "Z" + "I" * 499],  # over the qubit budget
+        ["enumerate", "--n", "-1", "--out", str(tmp_path / "DB")],
+        ["dist", "--db", str(tmp_path), "--n", "-1", "--csv", str(csv)],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "stabdb.cli", *argv],
@@ -342,6 +369,9 @@ def test_usage_errors_exit_2_subprocess():
         )
         assert proc.returncode == 2, argv
         assert b"Traceback" not in proc.stderr, argv
+        if "-1" in argv:
+            assert proc.stderr == b"error: need n >= 0, got n = -1\n", argv
+    assert not csv.exists()
 
 
 def test_cli_runs_without_numpy():

@@ -151,6 +151,14 @@ def test_read_db_corrupt_line(db3, tmp_path):
         target.write_bytes(lines[0] + lines[1].replace(b'"X', b'"' + bad + b"X", 1))
         with pytest.raises(ValueError, match=r"codes_n3_k2\.jsonl:2: corrupt record: 'utf-8'"):
             read_db(tmp_path, 3, 2)
+    # a well-formed record of another cell is named with both cells
+    stray = (directory / "codes_n3_k1.jsonl").read_bytes().splitlines(keepends=True)[0]
+    target.write_bytes(lines[0] + stray)
+    with pytest.raises(ValueError) as caught:
+        read_db(tmp_path, 3, 2)
+    assert str(caught.value) == (
+        f"{target}:2: record of cell (n=3, k=1) filed under cell (n=3, k=2)"
+    )
 
 
 def test_record_field_types(db3, tmp_path):
