@@ -10,7 +10,8 @@ binary code).
 """
 
 from stabdb.canon import are_equivalent, aut_size, class_key
-from stabdb.pauli import StabGroup, format_pauli, span_rows
+from stabdb.f2core import span
+from stabdb.pauli import StabGroup, format_pauli
 from stabdb.properties import (
     css_rank_test,
     decompose,
@@ -42,7 +43,7 @@ print("|Aut| =", aut_size(g))
 # 15 of them, which is the whole group minus the identity.  A packed row's
 # support is its X half OR its Z half.
 qubits = (1 << g.n) - 1
-elems = [row for row in span_rows(g) if row]
+elems = [row for row in span(g.gens.rows) if row]
 print("nonidentity elements:", len(elems))
 assert all(((row | row >> g.n) & qubits).bit_count() == 4 for row in elems)
 

@@ -51,7 +51,8 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 
-from .pauli import StabGroup, span_rows
+from .f2core import span
+from .pauli import StabGroup
 from .transform import _INDEX_OF, LCPerm, apply_lcperm
 
 __all__ = [
@@ -130,8 +131,10 @@ class AutInfo:
 def build_code_graph(g: StabGroup) -> ColoredGraph:
     """The colored graph of a stabilizer group.
 
-    Black vertices 0..2^r-1 are the span elements in Gray-code order; the
-    corners of qubit j's triangle are t+3j (X), t+3j+1 (Y), t+3j+2 (Z).
+    Black vertex i is the span element whose generator mask is i ^ (i >> 1),
+    so the t = 2^r black vertices walk the span in Gray-code order, each
+    differing from the one before by one generator.  The corners of qubit
+    j's triangle are t+3j (X), t+3j+1 (Y), t+3j+2 (Z).
     Leaf certificates pack vertex positions into 16 bits, so a graph of
     more than 65,535 vertices (any group of rank 16 or more) is refused,
     and so is a group on more than _MAX_QUBITS qubits.
@@ -147,8 +150,8 @@ def build_code_graph(g: StabGroup) -> ColoredGraph:
             f"vertex budget exceeded: 2^{r} + 3*{n} vertices > 65535, "
             "the 16-bit limit of leaf certificates"
         )
-    rows = span_rows(g)
-    t = len(rows)
+    elements = span(g.gens.rows)
+    t = len(elements)
     # corner[j][code]: the corner a letter code 1..3 at qubit j joins; the
     # rows share these int objects, which at rank 15 saves about 11 MB
     # against computing each corner number afresh
@@ -162,7 +165,8 @@ def build_code_graph(g: StabGroup) -> ColoredGraph:
     adj = []
     white = [[] for _ in range(3 * n)]
     mask = (1 << n) - 1
-    for i, row in enumerate(rows):
+    for i in range(t):
+        row = elements[i ^ (i >> 1)]
         z = row >> n
         nbs = []
         support = (row | z) & mask

@@ -72,7 +72,8 @@ def _cmd_verify_mass(args) -> int:
     db = Database(args.db)
     cells = [c for c in db.cells() if args.n is None or c[0] == args.n]
     if not cells:
-        raise ValueError(f"no database cells under {args.db}")
+        which = "" if args.n is None else f" for n = {args.n}"
+        raise ValueError(f"no database cells{which} under {args.db}")
     failed = False
     for n, k in cells:
         records = db.records(n, k)

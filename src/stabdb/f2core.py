@@ -6,7 +6,7 @@ with column j at bit j (little-endian within a row).
 
 from __future__ import annotations
 
-__all__ = ["BitMatrix", "rank", "rref", "kernel", "reduce_row"]
+__all__ = ["BitMatrix", "rank", "rref", "kernel", "reduce_row", "span"]
 
 
 class BitMatrix:
@@ -50,33 +50,28 @@ def rank(m: BitMatrix) -> int:
 
 
 def _rank_of_rows(rows) -> int:
-    basis = []  # echelonized rows, each with a distinct leading bit
-    r = 0
+    basis = []  # echelonized rows, each with a distinct lowest set bit
     for v in rows:
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
+        v = reduce_row(basis, v)
         if v:
             basis.append(v)
-            r += 1
-    return r
+    return len(basis)
 
 
 def rref(m: BitMatrix, columns=None):
-    """Reduced row-echelon form with the row transform that produces it.
+    """Reduced row-echelon form.
 
-    Returns ``(reduced, pivots, transform)`` where ``transform`` is an
-    invertible nrows x nrows matrix with ``transform @ m = reduced`` over
-    GF(2) and rows without a pivot sit at the bottom of ``reduced``.
-    Pivots are sought along ``columns``, by default every column left to
-    right; rows are eliminated in full, but an unlisted column never
-    pivots.  ``pivots`` lists the pivot columns in that order, each taking
-    the topmost candidate row, so the output is deterministic.
+    Returns ``(reduced, pivots)``; rows without a pivot sit at the bottom
+    of ``reduced``.  Pivots are sought along ``columns``, by default every
+    column left to right; rows are eliminated in full, but an unlisted
+    column never pivots.  ``pivots`` lists the pivot columns in that order,
+    each taking the topmost candidate row, so the output is deterministic.
+    A caller that needs the row transform appends an identity block above
+    the last column and lists only the original columns: the block then
+    records which input rows make up each reduced row.
     """
     rows = list(m.rows)
     nr = len(rows)
-    trans = [1 << i for i in range(nr)]
     pivots = []
     r = 0
     for c in range(m.ncols) if columns is None else columns:
@@ -88,16 +83,14 @@ def rref(m: BitMatrix, columns=None):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        trans[r], trans[pivot_row] = trans[pivot_row], trans[r]
         for i in range(nr):
             if i != r and (rows[i] >> c) & 1:
                 rows[i] ^= rows[r]
-                trans[i] ^= trans[r]
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return BitMatrix(m.ncols, rows), pivots, BitMatrix(nr, trans)
+    return BitMatrix(m.ncols, rows), pivots
 
 
 def kernel(m: BitMatrix) -> BitMatrix:
@@ -107,7 +100,7 @@ def kernel(m: BitMatrix) -> BitMatrix:
     non-pivot column c: bit c set, plus bit p_i for every pivot row i whose
     reduced row has bit c set (the unique completion to a kernel vector).
     """
-    reduced, pivots, _ = rref(m)
+    reduced, pivots = rref(m)
     in_pivots = set(pivots)
     basis = []
     for c in range(m.ncols):
@@ -121,13 +114,27 @@ def kernel(m: BitMatrix) -> BitMatrix:
     return BitMatrix(m.ncols, basis)
 
 
-def reduce_row(reduced_rows, pivots, v: int) -> int:
-    """Reduce packed row v against an RREF row set.
+def reduce_row(basis, v: int) -> int:
+    """Reduce packed row v against an echelon basis.
 
-    Returns the residue after eliminating every pivot position; the residue
-    is 0 exactly when v lies in the row space.
+    Each basis row is eliminated at its lowest set bit, which no later row
+    may have set.  The nonzero rows of an RREF in the default column order
+    meet this, and so does a basis built one row at a time by appending
+    each nonzero residue.  The residue is 0 exactly when v lies in the row
+    space, and it does not depend on which such basis spans that space.
     """
-    for row, p in zip(reduced_rows, pivots):
-        if (v >> p) & 1:
-            v ^= row
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
     return v
+
+
+def span(rows) -> list[int]:
+    """All 2^m elements of the span of m packed rows, built by doubling.
+
+    Entry u is the XOR of rows[i] over the set bits i of u.
+    """
+    out = [0]
+    for row in rows:
+        out += [v ^ row for v in out]
+    return out

@@ -21,7 +21,6 @@ __all__ = [
     "parse_pauli",
     "format_pauli",
     "symplectic_product",
-    "span_rows",
     "check_span",
     "centralizer",
     "logical_rows",
@@ -131,7 +130,7 @@ class StabGroup:
 
     def canonical_gens(self) -> BitMatrix:
         """RREF-canonical generator matrix (basis-independent group id)."""
-        reduced, pivots, _ = rref(self.gens)
+        reduced, pivots = rref(self.gens)
         return BitMatrix(2 * self.n, reduced.rows[: len(pivots)])
 
     def same_group(self, other: "StabGroup") -> bool:
@@ -139,24 +138,6 @@ class StabGroup:
 
     def __repr__(self) -> str:
         return f"StabGroup(n={self.n}, <{', '.join(self.generator_strings())}>)"
-
-
-def span_rows(g: StabGroup) -> list[int]:
-    """All 2^r packed span elements in Gray-code order over generator masks.
-
-    The walk starts at the identity and flips one generator per step, so
-    consecutive elements differ by a single generator; the order is fixed by
-    the generator list and is reproducible.
-    """
-    rows = g.gens.rows
-    r = len(rows)
-    check_span(r)
-    walk = [0] * (1 << r)
-    cur = 0
-    for t in range(1, 1 << r):
-        cur ^= rows[(t & -t).bit_length() - 1]
-        walk[t] = cur
-    return walk
 
 
 def check_span(r: int) -> None:
@@ -182,17 +163,15 @@ def centralizer(g: StabGroup) -> BitMatrix:
 def logical_rows(g: StabGroup) -> list[int]:
     """2k packed rows spanning the centralizer modulo the group span.
 
-    Centralizer basis rows are reduced against the group and against the
-    rows kept so far; the survivors, in centralizer basis order, complete
-    the group to its centralizer.
+    The generators and then the centralizer basis rows are reduced, one at
+    a time, against the echelon basis of the residues kept so far.  The
+    independent generators fill its first r places, and the centralizer
+    survivors, in centralizer basis order, complete the group to its
+    centralizer.
     """
-    reduced, pivots, _ = rref(g.gens)
-    srows = reduced.rows[: len(pivots)]
-    out_rows, out_pivs = [], []
-    for row in centralizer(g).rows:
-        res = reduce_row(srows, pivots, row)
-        res = reduce_row(out_rows, out_pivs, res)
+    basis = []
+    for row in g.gens.rows + centralizer(g).rows:
+        res = reduce_row(basis, row)
         if res:
-            out_rows.append(res)
-            out_pivs.append((res & -res).bit_length() - 1)
-    return out_rows
+            basis.append(res)
+    return basis[g.r:]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref
+from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref, span
 from .pauli import StabGroup, check_span, logical_rows
 from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
@@ -98,13 +98,14 @@ def _weight_slices(rows, n: int):
     j.  The planes are built by doubling, one row at a time: the products
     with bit i set are those without it times rows[i], so the plane is
     shifted up over itself, complemented where rows[i] has that bit.  The
-    other rows are walked in Gray order; each step multiplies every product
-    of the chunk by one row, so a chunk's planes are the low planes, each
-    complemented where the chunk's high product h has its bit.  Folding the
-    supports x | z in one qubit at a time with
-    at_least[w] |= at_least[w - 1] & support, from w = j + 1 down to 1,
-    leaves bit u of at_least[w] set exactly when product u weighs at least
-    w.  Yields (base, at_least) per chunk, where base is the number of the
+    span of the other rows numbers the chunks: chunk h multiplies every
+    product of the first chunk by the high product span[h], so its planes
+    are the low planes, each complemented where span[h] has its bit.
+    Every chunk is weighed in full, so the chunk order does not change the
+    weights any caller reads.  Folding the supports x | z in one qubit at a
+    time with at_least[w] |= at_least[w - 1] & support, from w = j + 1 down
+    to 1, leaves bit u of at_least[w] set exactly when product u weighs at
+    least w.  Yields (base, at_least) per chunk, where base is the number of the
     chunk's product 0 and at_least has n + 2 entries, the last one 0.
     Nothing is approximated: every product's weight is counted exactly.
     """
@@ -119,12 +120,7 @@ def _weight_slices(rows, n: int):
             x, z = xs[j], zs[j]
             xs[j] = x | (x ^ flip if row >> j & 1 else x) << half
             zs[j] = z | (z ^ flip if row >> (n + j) & 1 else z) << half
-    high = gray = 0
-    for t in range(1 << (len(rows) - c)):
-        if t:
-            i = (t & -t).bit_length() - 1
-            high ^= rows[c + i]
-            gray ^= 1 << i
+    for h, high in enumerate(span(rows[c:])):
         at_least = [ones] + [0] * (n + 1)
         for j in range(n):
             x = xs[j] ^ ones if high >> j & 1 else xs[j]
@@ -132,7 +128,7 @@ def _weight_slices(rows, n: int):
             support = x | z
             for w in range(j + 1, 0, -1):
                 at_least[w] |= at_least[w - 1] & support
-        yield gray << c, at_least
+        yield h << c, at_least
 
 
 def _least_weight(rows, n: int, first: int) -> int:
@@ -270,18 +266,12 @@ def css_representative(g: StabGroup):
             cz |= ((row >> (n + j)) & 1) << i
         cols.append((cx, cz))
 
-    def reduced(basis, v):
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        return v
-
     # bound[j]: rank of the group restricted to qubits 0..j-1
     bound = [0]
     prefix = []
     for col in cols:
         for v in col:
-            v = reduced(prefix, v)
+            v = reduce_row(prefix, v)
             if v:
                 prefix.append(v)
         bound.append(len(prefix))
@@ -297,8 +287,8 @@ def css_representative(g: StabGroup):
             return True
         room = bound[j + 1] - len(basis_x) - len(basis_z)
         cx, cz = cols[j]
-        xx, xz = reduced(basis_x, cx), reduced(basis_x, cz)
-        zx, zz = reduced(basis_z, cx), reduced(basis_z, cz)
+        xx, xz = reduce_row(basis_x, cx), reduce_row(basis_x, cz)
+        zx, zz = reduce_row(basis_z, cx), reduce_row(basis_z, cz)
         red_x = (xx, xz, xx ^ xz)
         red_z = (zx, zz, zx ^ zz)
         for gate, (src_x, src_z) in enumerate(_SOURCES):
@@ -352,16 +342,16 @@ def gf4_representative(g: StabGroup):
     n = g.n
     if g.r % 2 == 1 or g.r == 0:
         return None
-    reduced, pivots, _ = rref(g.gens)
-    srows = reduced.rows[: len(pivots)]
+    reduced, _ = rref(g.gens)
+    srows = reduced.rows
     cycled = lcperm_rows(LCPerm(("R",) * n), g.gens.rows)  # X -> Y -> Z -> X
     # one equation per generator and residue bit: p_j at bit j, the
     # right-hand side at bit n
     equations = []
     for row, image in zip(g.gens.rows, cycled):
-        target = reduce_row(srows, pivots, image)
+        target = reduce_row(srows, image)
         parts = [
-            reduce_row(srows, pivots, row & (1 << j | 1 << (n + j)))
+            reduce_row(srows, row & (1 << j | 1 << (n + j)))
             for j in range(n)
         ]
         for bit in range(2 * n):
@@ -372,7 +362,7 @@ def gf4_representative(g: StabGroup):
                 equations.append(eq)
     # Pivots taken from the last qubit down leave each kernel vector's
     # lowest bit free, so the solution with every free bit 0 is the first.
-    solved, p_pivots, _ = rref(BitMatrix(n + 1, equations), range(n - 1, -1, -1))
+    solved, p_pivots = rref(BitMatrix(n + 1, equations), range(n - 1, -1, -1))
     if any(solved.rows[len(p_pivots):]):
         return None
     pattern = [0] * n

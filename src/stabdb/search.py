@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canon import CanonicalKey, automorphisms, class_key
-from .f2core import BitMatrix, kernel, rref
+from .f2core import BitMatrix, kernel, reduce_row, rref, span
 from .pauli import StabGroup, logical_rows, symplectic_product
 from .transform import LCPerm, apply_lcperm, lcperm_rows
 
@@ -79,20 +79,19 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
     n, r = rep.n, rep.r
     cosets = logical_rows(rep)
     basis = list(rep.gens.rows) + cosets  # spans the centralizer
-    reduced, pivots, trans = rref(BitMatrix(2 * n, basis))
-    steps = list(zip(reduced.rows, pivots, trans.rows))
+    # an identity block above bit 2n records which basis rows each
+    # reduced row sums, so a residue's high bits are its coordinates
+    tagged = [v | 1 << (2 * n + i) for i, v in enumerate(basis)]
+    reduced, _ = rref(BitMatrix(2 * n + len(basis), tagged), range(2 * n))
+    mask = (1 << 2 * n) - 1
 
     def coordinates(v):
-        c = 0
-        for row, p, combo in steps:
-            if (v >> p) & 1:
-                v ^= row
-                c ^= combo
-        if v:
+        v = reduce_row(reduced.rows, v)
+        if v & mask:
             raise AssertionError(
                 "internal error: automorphism image leaves the centralizer"
             )
-        return c >> r
+        return v >> (2 * n + r)
 
     # tables[i][c] is generator i's image of coset coordinate vector c
     tables = []
@@ -102,21 +101,17 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
             raise AssertionError(
                 "internal error: automorphism does not fix the group"
             )
-        table = [0]
-        for col in images[r:]:
-            table += [c ^ col for c in table]
-        tables.append(table)
+        tables.append(span(images[r:]))
 
-    seen = bytearray(1 << len(cosets))
+    elements = span(cosets)
+    seen = bytearray(len(elements))
     out = []
-    cur = 0
-    for t in range(1, 1 << len(cosets)):
-        cur ^= cosets[(t & -t).bit_length() - 1]
-        c = t ^ (t >> 1)  # coordinates of cur
+    for t in range(1, len(elements)):
+        c = t ^ (t >> 1)  # the Gray walk's t-th coset
         if seen[c]:
             continue
         seen[c] = 1
-        rows = basis[:r] + [cur]
+        rows = basis[:r] + [elements[c]]
         out.append(StabGroup(n, BitMatrix(2 * n, rows), validate=False))
         orbit = [c]
         while orbit:
@@ -205,7 +200,7 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
     n = gs.n
     if code.ncols != n:
         raise ValueError("code length must match the qubit count")
-    _, pivots, _ = rref(code)
+    _, pivots = rref(code)
     if len(pivots) != len(code.rows):
         raise ValueError("code rows must be linearly independent")
     gens = list(gs.stabilizer().gens.rows)
@@ -276,14 +271,15 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     mask = (1 << n) - 1
     logical = _lagrangian_firsts(logical_rows(g), n)
     full = BitMatrix(2 * n, list(g.gens.rows) + logical)
-    _, p_x, _ = rref(full, range(n))
+    _, p_x = rref(full, range(n))
     order = p_x + [j for j in range(n) if j not in p_x]
     relabel_h = LCPerm(
         ["I"] * len(p_x) + ["H"] * (n - len(p_x)),
         [order.index(j) for j in range(n)],
     )
     h_full = apply_lcperm(StabGroup(n, full, validate=False), relabel_h)
-    h_form = StabGroup(n, rref(h_full.gens, range(n))[0], validate=False)
+    h_rows, _ = rref(h_full.gens, range(n))
+    h_form = StabGroup(n, h_rows, validate=False)
     s_layer = LCPerm(
         ["S" if (row >> (n + j)) & 1 else "I"
          for j, row in enumerate(h_form.gens.rows)]
@@ -295,16 +291,24 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     return gph, words
 
 
-def cws_enumerate(n: int, k: int) -> list[ClassEntry]:
-    """Classes of [[n, k]] found by pairing graph orbits with
-    k-dimensional binary codes (one echelon representative per row
-    space), in canonical key order."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+def cws_enumerate(n: int) -> dict:
+    """Transversal of all equivalence classes on n qubits, found by pairing
+    graph orbits with k-dimensional binary codes (one echelon
+    representative per row space) for every k.
+
+    Returns {(n, k): [ClassEntry, ...]} with entries in canonical key
+    order, the shape enumerate_classes returns; the graph orbits are grown
+    once for all k.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
     orbits = graphstate_orbits(n)
-    return _transversal(
-        cws_to_stabilizer(gs, code) for code in _rref_matrices(n, k) for gs in orbits
-    )
+    return {
+        (n, k): _transversal(
+            cws_to_stabilizer(gs, code) for code in _rref_matrices(n, k) for gs in orbits
+        )
+        for k in range(n + 1)
+    }
 
 
 def _rref_matrices(n: int, k: int):

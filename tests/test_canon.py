@@ -70,6 +70,25 @@ class TestBuildCodeGraph:
         degrees = sorted(len(gph.adj[v]) for v in blacks)
         assert degrees == [0, 1, 2, 3]
 
+    def test_gray_order_steps_by_one_generator(self):
+        # black vertex i is the span element with generator mask
+        # i ^ (i >> 1), read back off its corners: X, Y, Z at slots 0, 1, 2
+        g = group("ZZI", "IZZ", "XXX")
+        gph = build_code_graph(g)
+        t = 1 << g.r
+        rows = []
+        for v in range(t):
+            row = 0
+            for c in gph.adj[v]:
+                j, slot = divmod(c - t, 3)
+                row |= (slot < 2) << j | (slot > 0) << (g.n + j)
+            rows.append(row)
+        assert rows[0] == 0
+        assert len(set(rows)) == 8
+        gens = set(g.gens.rows)
+        for a, b in zip(rows, rows[1:]):
+            assert a ^ b in gens
+
     def test_empty_group_one_qubit(self):
         gph = build_code_graph(group(n=1))
         assert gph.nverts == 1 + 3

@@ -1,7 +1,9 @@
 """Command line behavior: outputs, database plumbing, and exit codes."""
 
+import importlib
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -59,6 +61,13 @@ def test_verify_mass_ok(cli_db, capsys):
         "n=2 k=1 lhs=15 rhs=15 ok",
         "n=2 k=2 lhs=1 rhs=1 ok",
     ]
+
+
+def test_verify_mass_names_the_missing_cells(cli_db, tmp_path, capsys):
+    assert main(["verify-mass", "--db", str(cli_db), "--n", "4"]) == 2
+    assert capsys.readouterr().err == f"error: no database cells for n = 4 under {cli_db}\n"
+    assert main(["verify-mass", "--db", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: no database cells under {tmp_path}\n"
 
 
 def test_verify_mass_detects_missing_record(cli_db, tmp_path, capsys):
@@ -349,6 +358,28 @@ def test_readme_commands_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         assert parser.parse_args(argv).func, line
+
+
+def test_readme_module_names_exist():
+    # every backticked identifier in README's module bullets
+    # ("- `f2core` -- ...") is an attribute of that module, so a removed
+    # or renamed function cannot stay named there
+    bullets = {}
+    name = None
+    for line in (REPO / "README.md").read_text(encoding="utf-8").splitlines():
+        head = re.match(r"- `(\w+)` -- ", line)
+        if head:
+            name = head.group(1)
+            bullets[name] = line[head.end():]
+        elif name and line.startswith("  "):
+            bullets[name] += line
+        else:
+            name = None
+    assert len(bullets) == 8
+    for name, text in bullets.items():
+        module = importlib.import_module(f"stabdb.{name}")
+        for ident in re.findall(r"`([A-Za-z_]\w*)`", text):
+            assert hasattr(module, ident), (name, ident)
 
 
 def test_usage_errors_exit_2_subprocess(tmp_path):

@@ -4,13 +4,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabdb.f2core import BitMatrix, kernel, rank, reduce_row, rref
+from stabdb.f2core import BitMatrix, kernel, rank, reduce_row, rref, span
 
 from util import matmul
 
 
 def mat(ncols, *rows):
     return BitMatrix(ncols, rows)
+
+
+def rref_with_transform(m, columns=None):
+    """rref of m with its row transform, read off an identity block placed
+    above m's columns, which no listed column reaches."""
+    tagged = BitMatrix(
+        m.ncols + m.nrows, [row | 1 << (m.ncols + i) for i, row in enumerate(m.rows)]
+    )
+    full, pivots = rref(tagged, range(m.ncols) if columns is None else columns)
+    mask = (1 << m.ncols) - 1
+    reduced = BitMatrix(m.ncols, [row & mask for row in full.rows])
+    transform = BitMatrix(m.nrows, [row >> m.ncols for row in full.rows])
+    return reduced, pivots, transform
 
 
 def bits_to_int(s):
@@ -47,22 +60,25 @@ class TestRank:
 class TestRref:
     def test_example(self):
         m = mat(4, bits_to_int("1100"), bits_to_int("0110"), bits_to_int("1010"))
-        reduced, pivots, transform = rref(m)
+        reduced, pivots, transform = rref_with_transform(m)
+        assert (reduced, pivots) == rref(m)
         assert pivots == [0, 1]
         assert reduced.rows[2] == 0
         # transform certifies the reduction
         assert matmul(transform, m) == reduced
+        assert rank(transform) == 3
 
     def test_pivot_columns_are_unit(self):
         m = mat(5, 0b10110, 0b01101, 0b11011)
-        reduced, pivots, _ = rref(m)
+        reduced, pivots = rref(m)
         for i, p in enumerate(pivots):
             col = [(row >> p) & 1 for row in reduced.rows]
             assert col == [1 if j == i else 0 for j in range(reduced.nrows)]
 
     def test_column_order(self):
         m = mat(4, bits_to_int("1100"), bits_to_int("0110"), bits_to_int("0011"))
-        reduced, pivots, transform = rref(m, [3, 1])
+        reduced, pivots, transform = rref_with_transform(m, [3, 1])
+        assert (reduced, pivots) == rref(m, [3, 1])
         # pivots come in the listed order; an unlisted column never pivots
         assert pivots == [3, 1]
         assert reduced.rows == [
@@ -71,6 +87,7 @@ class TestRref:
             bits_to_int("1010"),
         ]
         assert matmul(transform, m) == reduced
+        assert rank(transform) == 3
 
 
 class TestKernel:
@@ -90,10 +107,10 @@ class TestKernel:
 class TestReduceRow:
     def test_membership(self):
         m = mat(4, bits_to_int("1100"), bits_to_int("0110"))
-        reduced, pivots, _ = rref(m)
+        reduced, pivots = rref(m)
         rows = reduced.rows[: len(pivots)]
-        assert reduce_row(rows, pivots, bits_to_int("1010")) == 0
-        assert reduce_row(rows, pivots, bits_to_int("1000")) != 0
+        assert reduce_row(rows, bits_to_int("1010")) == 0
+        assert reduce_row(rows, bits_to_int("1000")) != 0
 
 
 @st.composite
@@ -115,8 +132,8 @@ def test_rank_nullity(m):
 @settings(max_examples=200)
 @given(matrices())
 def test_rref_idempotent(m):
-    reduced, pivots, _ = rref(m)
-    again, pivots2, _ = rref(reduced)
+    reduced, pivots = rref(m)
+    again, pivots2 = rref(reduced)
     assert again == reduced
     assert pivots2 == pivots
     assert len(pivots) == rank(m)
@@ -125,7 +142,8 @@ def test_rref_idempotent(m):
 @settings(max_examples=200)
 @given(matrices())
 def test_rref_transform_invertible(m):
-    reduced, _, transform = rref(m)
+    reduced, pivots, transform = rref_with_transform(m)
+    assert (reduced, pivots) == rref(m)
     assert matmul(transform, m) == reduced
     assert rank(transform) == m.nrows
 
@@ -134,7 +152,8 @@ def test_rref_transform_invertible(m):
 @given(matrices(), st.randoms(use_true_random=False))
 def test_rref_column_order(m, rnd):
     order = rnd.sample(range(m.ncols), rnd.randint(0, m.ncols))
-    reduced, pivots, transform = rref(m, order)
+    reduced, pivots, transform = rref_with_transform(m, order)
+    assert (reduced, pivots) == rref(m, order)
     assert matmul(transform, m) == reduced
     assert rank(transform) == m.nrows
     assert pivots == [c for c in order if c in pivots]
@@ -144,6 +163,35 @@ def test_rref_column_order(m, rnd):
     # rows past the pivots vanish on every listed column
     for row in reduced.rows[len(pivots):]:
         assert not any((row >> c) & 1 for c in order)
+
+
+@settings(max_examples=200)
+@given(matrices())
+def test_span_entries(m):
+    elements = span(m.rows)
+    assert len(elements) == 1 << m.nrows
+    for u, v in enumerate(elements):
+        want = 0
+        for i, row in enumerate(m.rows):
+            if (u >> i) & 1:
+                want ^= row
+        assert v == want
+
+
+@settings(max_examples=200)
+@given(matrices(), st.data())
+def test_reduce_row_membership(m, data):
+    # an echelon basis built one row at a time, each row reduced against
+    # the ones before it; v is tested against the span by brute force
+    basis = []
+    for row in m.rows:
+        res = reduce_row(basis, row)
+        if res:
+            basis.append(res)
+    assert len(basis) == rank(m)
+    elements = span(m.rows)
+    v = data.draw(st.integers(0, (1 << m.ncols) - 1) | st.sampled_from(elements))
+    assert (reduce_row(basis, v) == 0) == (v in elements)
 
 
 @settings(max_examples=200)

@@ -6,9 +6,9 @@ import random
 import pytest
 
 from stabdb.canon import class_key
-from stabdb.f2core import BitMatrix
+from stabdb.f2core import BitMatrix, span
 from stabdb import search
-from stabdb.pauli import StabGroup, logical_rows, span_rows
+from stabdb.pauli import StabGroup, logical_rows
 from stabdb.properties import decompose
 from stabdb.search import (
     GraphState,
@@ -95,14 +95,14 @@ def test_extend_class_shape():
             first.setdefault(key, f)
         assert {class_key(ext) for ext in exts} == set(first)
         assert all(f in rows for f in first.values())
-        base = set(span_rows(g))
+        base = set(span(g.gens.rows))
         seen = set()
         for ext in exts:
             assert ext.r == g.r + 1
-            span = frozenset(span_rows(ext))
-            assert base <= span
-            assert span not in seen  # distinct groups, not just classes
-            seen.add(span)
+            elements = frozenset(span(ext.gens.rows))
+            assert base <= elements
+            assert elements not in seen  # distinct groups, not just classes
+            seen.add(elements)
 
 
 def test_extension_work_counts(monkeypatch):
@@ -247,12 +247,14 @@ def test_rref_matrix_counts():
 
 
 def test_cws_enumerate_counts():
-    assert len(cws_enumerate(4, 2)) == 11
-    assert len(cws_enumerate(2, 0)) == 2
+    assert len(cws_enumerate(4)[(4, 2)]) == 11
+    assert len(cws_enumerate(2)[(2, 0)]) == 2
 
 
 def test_cws_matches_iterative():
     res = enumerate_classes(3)
+    cws = cws_enumerate(3)
+    assert sorted(cws) == sorted(res)
     for k in range(4):
-        got = {e.key for e in cws_enumerate(3, k)}
+        got = {e.key for e in cws[(3, k)]}
         assert got == {e.key for e in res[(3, k)]}

@@ -4,8 +4,8 @@ import itertools
 import random
 from collections import deque
 
-from stabdb.f2core import BitMatrix, rank, reduce_row, rref
-from stabdb.pauli import StabGroup, logical_rows, span_rows, symplectic_product
+from stabdb.f2core import BitMatrix, rank, reduce_row, rref, span
+from stabdb.pauli import StabGroup, logical_rows, symplectic_product
 from stabdb.transform import LCPerm
 
 
@@ -33,7 +33,7 @@ def random_lcperm(n: int, seed=None) -> LCPerm:
 
 
 def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2), the oracle for rref's row transform; row
+    """Matrix product over GF(2), the oracle for a row transform; row
     i of the result is XOR of b-rows selected by the set bits of a's row i."""
     if a.ncols != b.nrows:
         raise ValueError("inner dimensions disagree")
@@ -76,15 +76,15 @@ def packed_weight(row: int, n: int) -> int:
 def brute_distance(g: StabGroup) -> int:
     """Distance by scanning every packed Pauli row (exponential oracle)."""
     n = g.n
-    span = set(span_rows(g))
+    elements = set(span(g.gens.rows))
     gens = g.gens.rows
     if g.r == 0:
         return 1
     if g.k == 0:
-        return min(packed_weight(row, n) for row in span if row)
+        return min(packed_weight(row, n) for row in elements if row)
     best = None
     for row in range(1, 1 << (2 * n)):
-        if row in span:
+        if row in elements:
             continue
         if any(symplectic_product(row, h, n) for h in gens):
             continue
@@ -101,29 +101,29 @@ def coset_distance(g: StabGroup) -> int:
     n = g.n
     if g.r == 0:
         return 1
-    span = span_rows(g)
+    elements = span(g.gens.rows)
     if g.k == 0:
-        return min(packed_weight(row, n) for row in span if row)
+        return min(packed_weight(row, n) for row in elements if row)
     logicals = logical_rows(g)
     best = 2 * n
     cur = 0
     for t in range(1, 1 << len(logicals)):
         cur ^= logicals[(t & -t).bit_length() - 1]
-        best = min(best, min(packed_weight(cur ^ s, n) for s in span))
+        best = min(best, min(packed_weight(cur ^ s, n) for s in elements))
     return best
 
 
 def span_weight_enumerator(g: StabGroup) -> tuple:
     """coeffs[w] by weighing each of the 2^r span elements."""
     coeffs = [0] * (g.n + 1)
-    for row in span_rows(g):
+    for row in span(g.gens.rows):
         coeffs[packed_weight(row, g.n)] += 1
     return tuple(coeffs)
 
 
 def span_is_even(g: StabGroup) -> bool:
     """Whether the even-weight span elements have the group's rank."""
-    even = [row for row in span_rows(g) if packed_weight(row, g.n) % 2 == 0]
+    even = [row for row in span(g.gens.rows) if packed_weight(row, g.n) % 2 == 0]
     return rank(BitMatrix(2 * g.n, even)) == g.r
 
 
@@ -183,8 +183,7 @@ def brute_gf4_representative(g: StabGroup):
     if g.r % 2 == 1 or g.r == 0:
         return None
     mask = (1 << n) - 1
-    reduced, pivots, _ = rref(g.gens)
-    srows = reduced.rows[: len(pivots)]
+    reduced, _ = rref(g.gens)
     for pattern in itertools.product((0, 1), repeat=n):
         m_inv = sum(1 << j for j, p in enumerate(pattern) if p)
         m_cycle = mask ^ m_inv
@@ -193,7 +192,7 @@ def brute_gf4_representative(g: StabGroup):
             z = row >> n
             nx = ((x ^ z) & m_cycle) | (z & m_inv)
             nz = (x & m_cycle) | ((x ^ z) & m_inv)
-            if reduce_row(srows, pivots, nx | (nz << n)):
+            if reduce_row(reduced.rows, nx | (nz << n)):
                 break
         else:
             return LCPerm(pattern)
