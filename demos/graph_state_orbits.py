@@ -16,13 +16,14 @@ would without it, so no class on m vertices is missed.  The chain runs
 from stabdb.canon import class_key
 from stabdb.search import enumerate_classes, graphstate_orbits
 
-# each call grows its chain from one vertex; the candidates at n are the
-# n - 1 representatives times the 2^(n-1) neighbourhoods of the new vertex
+# each call grows its chain from the graph on no vertices; the candidates
+# at n are the n - 1 representatives times the 2^(n-1) neighbourhoods of
+# the new vertex
 previous = 1
 for n in range(1, 7):
     orbits = graphstate_orbits(n)
-    grown = f" from {previous} x {1 << (n - 1)} candidates" if n > 1 else ""
-    print(f"n={n}: {len(orbits)} graph orbits{grown}")
+    grown = f"from {previous} x {1 << (n - 1)} candidates"
+    print(f"n={n}: {len(orbits)} graph orbits {grown}")
     previous = len(orbits)
 assert previous == 26
 

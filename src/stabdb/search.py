@@ -4,7 +4,13 @@ The census is the iterative search, enumerate_classes: it extends every
 class representative at level k by one commuting generator to reach level
 k - 1, deduplicating through canonical keys.  Extensions in one orbit of
 the representative's automorphism group land in one class, so only one
-per orbit is canonicalized (canonical augmentation, McKay 1998).
+per orbit is canonicalized (canonical augmentation, McKay 1998).  Each
+canonicalized orbit is labelled with the position its class takes in the
+finished level, and one level down an extension that contains a labelled
+group of a class placed before its parent's is dropped unsearched: a
+symmetry carries it onto an extension of that earlier representative,
+whose orbits were all met before (see extend_class).  Keys,
+representatives and indexes are those of the unfiltered loop.
 
 The codeword search, cws_enumerate, independently pairs graph orbit
 representatives, grown one vertex at a time through the census's
@@ -61,7 +67,9 @@ class GraphState:
         return StabGroup(n, BitMatrix(2 * n, rows), validate=False)
 
 
-def extend_class(rep: StabGroup) -> list[StabGroup]:
+def extend_class(
+    rep: StabGroup, known=None, position: int = 0, orbits=None
+) -> list[StabGroup]:
     """Rank r+1 supergroups of rep, one per Aut(rep)-orbit of extensions.
 
     Adjoining P and adjoining P*s for s in the span give the same group,
@@ -73,6 +81,19 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
     map on those vectors, and an emitted coset floods its orbit.  The
     earliest extension landing in any class is the earliest of its own
     orbit, so a first-found-wins search keeps the same representatives.
+
+    In a census, rep is the representative at `position` of its level,
+    and known (from _label_index) holds rank-r groups labelled with the
+    position of their class in that level.  An extension C that contains
+    a group Q labelled p < position is dropped unsearched.  A symmetry
+    maps Q onto the representative P_p and C onto an extension of P_p,
+    which lies in the Aut(P_p)-orbit of one that extend_class(P_p)
+    returned earlier in the level.  So C's class is found already, and C
+    could not be its first member: keys, representatives and indexes
+    stay those of the unfiltered walk.  A dropped extension still floods
+    its orbit, so the list is a subsequence of the one returned without
+    known.  For each returned extension, (position, coset rows of its
+    orbit) is appended to orbits when that is a list.
     """
     if rep.k < 1:
         raise ValueError("a group with k = 0 admits no extension")
@@ -103,6 +124,24 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
             )
         tables.append(span(images[r:]))
 
+    if known is not None:
+        labels, parents = known
+        below = position * len(parents)  # labels of classes before position
+        group = span(basis[:r])
+        inside = set(group)
+        # labelled rows inside rep itself, met by every extension
+        fixed = [v for e in group for v in labels.get(e, ()) if v < below]
+
+        def contains_earlier(x):
+            """Whether rep + x contains a known group placed before position."""
+            hits = fixed + [
+                v for e in group for v in labels.get(e ^ x, ()) if v < below
+            ]
+            return any(
+                all(g in inside or g ^ x in inside for g in parents[v % len(parents)])
+                for v in hits
+            )
+
     elements = span(cosets)
     seen = bytearray(len(elements))
     out = []
@@ -111,29 +150,56 @@ def extend_class(rep: StabGroup) -> list[StabGroup]:
         if seen[c]:
             continue
         seen[c] = 1
-        rows = basis[:r] + [elements[c]]
-        out.append(StabGroup(n, BitMatrix(2 * n, rows), validate=False))
         orbit = [c]
-        while orbit:
-            u = orbit.pop()
+        for u in orbit:  # grows while it is walked
             for table in tables:
                 v = table[u]
                 if not seen[v]:
                     seen[v] = 1
                     orbit.append(v)
+        if known is not None and contains_earlier(elements[c]):
+            continue
+        rows = basis[:r] + [elements[c]]
+        out.append(StabGroup(n, BitMatrix(2 * n, rows), validate=False))
+        if orbits is not None:
+            orbits.append((position, [elements[u] for u in orbit]))
     return out
 
 
-def _transversal(candidates) -> list[ClassEntry]:
+def _transversal(candidates, firsts=None) -> list[ClassEntry]:
     """One entry per class met among candidates, the first candidate in
     it as representative, in canonical key order.  class_key is read from
-    the module on each call, so a rebound one is the one used."""
+    the module on each call, so a rebound one is the one used.  When
+    firsts is a list, each candidate's class is appended to it as the
+    class's first candidate, which the entries keep anyway: a duplicate's
+    own key is a new bytes object."""
     found = {}
     for cand in candidates:
         key = class_key(cand, found)
         if key not in found:
             found[key] = cand
+        if firsts is not None:
+            firsts.append(found[key])
     return [ClassEntry(key, found[key], i) for i, key in enumerate(sorted(found))]
+
+
+def _label_index(parents, level, firsts, orbits) -> tuple:
+    """The groups of a finished level whose class the census knows, as
+    extend_class reads them: ({coset row: [label, ...]}, parent rows).
+
+    Each orbit extend_class reported is the coset rows x of groups
+    P_i + x in one class, P_i the parent at position i, and firsts holds
+    the representative of each orbit's class.  A label packs that class's
+    position p in level as p * len(parents) + i, so p < q reads as
+    label < q * len(parents).
+    """
+    position = {id(entry.rep): entry.index for entry in level}
+    labels = {}
+    for rep, (i, rows) in zip(firsts, orbits, strict=True):
+        label = position[id(rep)] * len(parents) + i
+        for x in rows:
+            labels.setdefault(x, []).append(label)
+    return labels, [entry.rep.gens.rows for entry in parents]
 
 
 def enumerate_classes(n: int, k_min: int = 0) -> dict:
@@ -143,7 +209,9 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
     order.  Level k - 1 is the deduplicated set of one-generator
     extensions of level k, seeded from the single trivial class at k = n;
     a representative's extensions meet every class of supergroups, so no
-    class is missed.
+    class is missed.  Each level's canonicalized orbits are indexed for
+    the next, where extend_class drops an extension that contains a group
+    of an earlier class (see extend_class).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n = {n}")
@@ -152,11 +220,22 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
     trivial = StabGroup.from_strings([], n)
     level = [ClassEntry(class_key(trivial), trivial, 0)]
     result = {(n, n): level}
+    known = None
     for k in range(n - 1, k_min - 1, -1):
-        level = _transversal(
-            cand for entry in level for cand in extend_class(entry.rep)
+        firsts = []
+        orbits = [] if k > k_min else None  # the last level is not extended
+        parents, level = level, _transversal(
+            (
+                cand
+                for entry in level
+                for cand in extend_class(entry.rep, known, entry.index, orbits)
+            ),
+            firsts,
         )
         result[(n, k)] = level
+        known = None  # freed before the next index is built
+        if orbits is not None:
+            known = _label_index(parents, level, firsts, orbits)
     return result
 
 
@@ -170,11 +249,13 @@ def graphstate_orbits(n: int) -> list[GraphState]:
     moved to R + v, R the chosen representative of G - v's class.  And the
     k = 0 classes are exactly the graph orbits under local complementation
     plus isomorphism (Van den Nest et al. 2004; Danielsen and Parker 2006).
+    The chain starts from the graph on no vertices, whose group is the
+    trivial group on 0 qubits, the one class at n = 0.
     """
-    if n < 1:
-        return []
-    reps = [[0]]  # adjacency rows of the graph on one vertex
-    for m in range(2, n + 1):
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n = {n}")
+    reps = [[]]  # adjacency rows of the graph on no vertices
+    for m in range(1, n + 1):
         candidates = (
             GraphState(BitMatrix(m, [
                 row | ((nbh >> i) & 1) << (m - 1) for i, row in enumerate(rows)

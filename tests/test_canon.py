@@ -589,7 +589,7 @@ class TestSearchWork:
         )
         monkeypatch.setattr(canon, "_leaf_cert", counted("leaf_cert", canon._leaf_cert))
         enumerate_classes(5)
-        assert counts == {"search": 445, "refine": 4324, "leaf_cert": 448}
+        assert counts == {"search": 196, "refine": 2511, "leaf_cert": 199}
 
 
 class TestOneSearchPerGroup:
@@ -626,12 +626,12 @@ class TestOneSearchPerGroup:
         )
         classes = enumerate_classes(5)
         records = build_records(classes)
-        assert len(searches) == len(candidates) == 445
+        assert len(searches) == len(candidates) == 196
         reps = {id(e.rep) for entries in classes.values() for e in entries}
         assert len(reps) == sum(map(len, records.values())) == 112
         # every duplicate stopped at its first leaf, and none is remembered
         duplicates = [g for g in candidates if id(g) not in reps]
-        assert len(duplicates) == 333
+        assert len(duplicates) == 84
         assert not any(g in canon._searched for g in duplicates)
         assert len(canon._searched) == 112
         del classes, records, candidates, duplicates

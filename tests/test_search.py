@@ -106,17 +106,77 @@ def test_extend_class_shape():
 
 
 def test_extension_work_counts(monkeypatch):
-    # one class_key per orbit of extensions, plus one for the trivial group
+    # one class_key per orbit of extensions that contains no group of an
+    # earlier class, plus one for the trivial group
     calls = []
     monkeypatch.setattr(
         search,
         "class_key",
         lambda g, known=(): calls.append(g) or class_key(g, known),
     )
-    for n, want in ((4, 90), (5, 445)):
+    for n, want in ((4, 45), (5, 196)):
         calls.clear()
         enumerate_classes(n)
         assert len(calls) == want, n
+
+
+def _unfiltered_census(n):
+    """The census loop with no index: every extend_class orbit searched."""
+    trivial = StabGroup.from_strings([], n)
+    level = [search.ClassEntry(class_key(trivial), trivial, 0)]
+    out = {(n, n): level}
+    for k in range(n - 1, -1, -1):
+        level = search._transversal(
+            cand for entry in level for cand in extend_class(entry.rep)
+        )
+        out[(n, k)] = level
+    return out
+
+
+def _cells(classes):
+    return {
+        cell: [(e.key, e.index, e.rep.gens.rows) for e in entries]
+        for cell, entries in classes.items()
+    }
+
+
+def test_dropped_extensions_change_no_cell():
+    # keys, indexes and representative rows of the unfiltered loop
+    for n in range(6):
+        assert _cells(enumerate_classes(n)) == _cells(_unfiltered_census(n)), n
+
+
+def test_dropped_extensions_are_found_classes(monkeypatch):
+    # an extension is dropped only when its class, searched afresh, is
+    # already in the found dict its level hands class_key
+    live = {}
+
+    def keyed(g, known=()):
+        live["found"] = known
+        return class_key(g, known)
+
+    filtered = search.extend_class
+    counts = {}
+
+    def extend(rep, known=None, position=0, orbits=None):
+        out = filtered(rep, known, position, orbits)
+        kept = [g.gens.rows for g in out]
+        walk = [g.gens.rows for g in filtered(rep)]
+        it = iter(walk)
+        assert all(any(rows == w for w in it) for rows in kept)  # subsequence
+        dropped = [rows for rows in walk if rows not in kept]
+        for rows in dropped:
+            fresh = StabGroup(rep.n, BitMatrix(2 * rep.n, rows))
+            assert class_key(fresh) in live["found"]
+        kept_n, dropped_n = counts.get(rep.n, (0, 0))
+        counts[rep.n] = (kept_n + len(kept), dropped_n + len(dropped))
+        return out
+
+    monkeypatch.setattr(search, "class_key", keyed)
+    monkeypatch.setattr(search, "extend_class", extend)
+    for n in range(1, 6):
+        enumerate_classes(n)
+    assert counts[4] == (44, 45) and counts[5] == (195, 249)
 
 
 def test_extend_maximal_group_rejected():
@@ -130,7 +190,10 @@ GRAPH_ORBIT_COUNTS = {1: 1, 2: 2, 3: 3, 4: 6, 5: 11, 6: 26}
 def test_graphstate_orbit_counts():
     for n, want in GRAPH_ORBIT_COUNTS.items():
         assert len(graphstate_orbits(n)) == want
-    assert graphstate_orbits(0) == []
+    # the graph on no vertices: its group is the one class at n = 0
+    assert graphstate_orbits(0) == [GraphState(BitMatrix(0, []))]
+    with pytest.raises(ValueError, match="need n >= 0"):
+        graphstate_orbits(-1)
 
 
 def test_graphstate_orbits_match_group_classes():
