@@ -21,7 +21,6 @@ __all__ = [
     "parse_pauli",
     "format_pauli",
     "symplectic_product",
-    "check_span",
     "centralizer",
     "logical_rows",
 ]
@@ -138,12 +137,6 @@ class StabGroup:
 
     def __repr__(self) -> str:
         return f"StabGroup(n={self.n}, <{', '.join(self.generator_strings())}>)"
-
-
-def check_span(r: int) -> None:
-    """Refuse a span of more than 2^18 elements, as user input can ask for."""
-    if r > 18:
-        raise ValueError(f"span of 2^{r} elements exceeds the enumeration guard")
 
 
 def centralizer(g: StabGroup) -> BitMatrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref, span
-from .pauli import StabGroup, check_span, logical_rows
+from .pauli import StabGroup, logical_rows
 from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
 __all__ = [
@@ -31,10 +31,11 @@ __all__ = [
     "decompose",
 ]
 
-# The distance search covers 2^(2k + r) operators in chunks of
-# 2^_SLICE_BITS, so this guard bounds it at 2^(24 - 16) = 256 chunks; it
-# admits every group on up to 12 qubits.
-DISTANCE_MAX_BITS = 24
+# The weight kernel weighs at most 2^MAX_PRODUCT_BITS products, in chunks
+# of 2^_SLICE_BITS, so at most 2^(24 - 16) = 256 chunks: distance checks
+# its 2k + r rows against it, which admits every group on up to 12 qubits,
+# and weight_enumerator its r rows.
+MAX_PRODUCT_BITS = 24
 
 # _weight_slices handles 2^_SLICE_BITS products per chunk: every bit plane
 # holds at most 8 KB.
@@ -150,10 +151,14 @@ def weight_enumerator(g: StabGroup) -> WeightEnum:
 
     The elements are the 2^r products of the generators, each once, and
     _weight_slices marks each with its exact weight: coeffs[w] counts the
-    products that weigh at least w but not w + 1.
+    products that weigh at least w but not w + 1.  Raises ValueError when
+    the group has more than 2^MAX_PRODUCT_BITS elements.
     """
     n = g.n
-    check_span(g.r)
+    if g.r > MAX_PRODUCT_BITS:
+        raise ValueError(
+            f"weight enumerator over 2^{g.r} elements exceeds the enumeration guard"
+        )
     coeffs = [0] * (n + 1)
     for _, at_least in _weight_slices(g.gens.rows, n):
         for w in range(n + 1):
@@ -173,18 +178,16 @@ def distance(g: StabGroup) -> int:
     which complete them to a basis of the centralizer; with the generators
     in the low r bits, the products numbered 2^r and up are exactly the
     centralizer elements with a nonzero logical part, that is, those
-    outside the group.  Raises ValueError when the search would cover more
-    than 2^DISTANCE_MAX_BITS operators or the group has more than 2^18
-    elements.
+    outside the group.  Raises ValueError, before it builds any row, when
+    the search would cover more than 2^MAX_PRODUCT_BITS operators.
     """
     if g.r == 0:
         return 1
     bits = 2 * g.k + g.r
-    if bits > DISTANCE_MAX_BITS:
+    if bits > MAX_PRODUCT_BITS:
         raise ValueError(
             f"distance search over 2^{bits} operators exceeds the enumeration guard"
         )
-    check_span(g.r)
     if g.k == 0:
         return _least_weight(g.gens.rows, g.n, 1)
     return _least_weight(g.gens.rows + logical_rows(g), g.n, 1 << g.r)

@@ -97,7 +97,7 @@ def extend_class(
     """
     if rep.k < 1:
         raise ValueError("a group with k = 0 admits no extension")
-    n, r = rep.n, rep.r
+    n, r, k = rep.n, rep.r, rep.k
     cosets = logical_rows(rep)
     basis = list(rep.gens.rows) + cosets  # spans the centralizer
     # an identity block above bit 2n records which basis rows each
@@ -114,7 +114,10 @@ def extend_class(
             )
         return v >> (2 * n + r)
 
-    # tables[i][c] is generator i's image of coset coordinate vector c
+    # generator i's image of coset coordinate vector c is
+    # lo[c & low] ^ hi[c >> k] for (lo, hi) = tables[i]: two 2^k-entry
+    # tables in place of one of 2^(2k)
+    low = (1 << k) - 1
     tables = []
     for aut in automorphisms(rep):
         images = [coordinates(v) for v in lcperm_rows(aut, basis)]
@@ -122,7 +125,7 @@ def extend_class(
             raise AssertionError(
                 "internal error: automorphism does not fix the group"
             )
-        tables.append(span(images[r:]))
+        tables.append((span(images[r:r + k]), span(images[r + k:])))
 
     if known is not None:
         labels, parents = known
@@ -152,8 +155,9 @@ def extend_class(
         seen[c] = 1
         orbit = [c]
         for u in orbit:  # grows while it is walked
-            for table in tables:
-                v = table[u]
+            u_lo, u_hi = u & low, u >> k
+            for lo, hi in tables:
+                v = lo[u_lo] ^ hi[u_hi]
                 if not seen[v]:
                     seen[v] = 1
                     orbit.append(v)
@@ -276,7 +280,10 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
     The group is the commutant of the word operators {Z^c} inside the
     graph group: generator j anticommutes with Z^c iff j is in the
     support of c, so for each code row the generators with odd exponent
-    overlap are folded into one and that one is dropped.
+    overlap are folded into one and that one is dropped.  Once the rows
+    are checked independent, some generator is always odd: the exponents
+    left after folding rows c_1..c_m span exactly the vectors orthogonal
+    to those rows, and one of them meets an independent c_(m+1) oddly.
     """
     n = gs.n
     if code.ncols != n:
@@ -288,8 +295,6 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
     exps = [1 << j for j in range(n)]  # graph-generator content of each row
     for c in code.rows:
         hot = [i for i in range(len(gens)) if (exps[i] & c).bit_count() & 1]
-        if not hot:
-            continue
         first = hot[0]
         for i in hot[1:]:
             gens[i] ^= gens[first]
@@ -299,27 +304,23 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
 
 
 def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
-    """Half of a hyperbolic basis of the span of rows modulo the radical.
+    """Half of a hyperbolic basis of the span of rows.
 
     Symplectic Gram-Schmidt: pair each leading vector with an
     anticommuting partner, then clean the remainder against the pair.
-    The returned firsts commute pairwise.
+    The returned firsts commute pairwise.  The rows must be a basis of a
+    space on which the symplectic form is non-degenerate, as logical_rows
+    is: the group is the radical of its centralizer, and they span a
+    complement of it.  Each leading vector then has a partner among the
+    rows after it, and cleaning leaves the rest independent and nonzero.
     """
     pool = list(rows)
     firsts = []
     while pool:
         v = pool.pop(0)
-        if not v:
-            continue
-        partner = None
-        for i, w in enumerate(pool):
-            if symplectic_product(v, w, n):
-                partner = i
-                break
-        if partner is None:
-            firsts.append(v)
-            continue
-        w = pool.pop(partner)
+        w = pool.pop(
+            next(i for i, w in enumerate(pool) if symplectic_product(v, w, n))
+        )
         firsts.append(v)
         pool = [
             u
@@ -379,10 +380,8 @@ def cws_enumerate(n: int) -> dict:
 
     Returns {(n, k): [ClassEntry, ...]} with entries in canonical key
     order, the shape enumerate_classes returns; the graph orbits are grown
-    once for all k.
+    once for all k, and graphstate_orbits refuses n < 0.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n = {n}")
     orbits = graphstate_orbits(n)
     return {
         (n, k): _transversal(

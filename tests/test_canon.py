@@ -125,6 +125,18 @@ class TestBuildCodeGraph:
         with pytest.raises(ValueError, match="loop"):
             ColoredGraph(2, (1, 2), [(0, 0)])
 
+    def test_rejects_wrong_color_count(self):
+        with pytest.raises(ValueError, match="one color per vertex"):
+            ColoredGraph(2, (1,), [(0, 1)])
+
+    def test_rejects_edge_out_of_range(self):
+        with pytest.raises(ValueError, match=r"edge \(0,2\) out of range"):
+            ColoredGraph(2, (1, 2), [(0, 2)])
+
+    def test_qubit_guard(self):
+        with pytest.raises(ValueError, match="qubit budget exceeded: 129 qubits > 128"):
+            build_code_graph(StabGroup.from_strings([], 129))
+
     def test_direct_build_matches_validated_graph(self, full_enumeration):
         # build_code_graph lays out adj and the sorted edges itself; they
         # must be what ColoredGraph's validate, dedupe and sort pass leaves
@@ -463,8 +475,13 @@ class TestAreEquivalent:
         assert eq is False and w is None
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different qubit counts"):
             are_equivalent(group("XX"), group("XXX"))
+
+    def test_rank_mismatch_is_inequivalent(self):
+        a, b = group("XX", "ZZ"), group("XX")
+        assert are_equivalent(a, b) is False
+        assert are_equivalent(a, b, witness=True) == (False, None)
 
 
 class TestEarlyExit:

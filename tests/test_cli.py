@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from stabdb import properties
+from stabdb import canon, properties
 from stabdb.canon import aut_size, class_key
 from stabdb.cli import _build_parser, main
 from stabdb.db import build_records
@@ -211,6 +211,10 @@ def test_dist_csv(cli_db, tmp_path, capsys):
 def test_input_errors_exit_2(capsys):
     assert main(["props", "--gens", "XQ"]) == 2
     assert "invalid Pauli letter" in capsys.readouterr().err
+    assert main(["cws", "--to-stab", "--graph", "01;10", "--code", "12"]) == 2
+    assert "bad 0/1 row of length 2: '12'" in capsys.readouterr().err
+    assert main(["cws", "--to-cws"]) == 2
+    assert "--to-cws needs --gens" in capsys.readouterr().err
     assert main(["cws", "--to-stab", "--graph", "01;10"]) == 2
     assert main(["verify-mass", "--db", "/nonexistent/place"]) == 2
     assert main(["cws", "--to-stab", "--graph", "01;11", "--code", ""]) == 2
@@ -358,6 +362,35 @@ def test_readme_commands_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         assert parser.parse_args(argv).func, line
+
+
+def test_readme_bounds_match_constants():
+    # README's bounded-work bullets state each guard at the value the code
+    # holds, so a bound that moves or a second cap cannot go unnoticed
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    bullets = " ".join(
+        text.split("each bound exits 2 with a message:\n", 1)[1]
+        .split("\n## ", 1)[0]
+        .split()
+    )
+    bits = properties.MAX_PRODUCT_BITS
+    css_bits = properties.CSS_MAX_NODES.bit_length() - 1
+    assert properties.CSS_MAX_NODES == 1 << css_bits
+    rank_16 = StabGroup.from_strings(["I" * j + "Z" + "I" * (15 - j) for j in range(16)])
+    with pytest.raises(ValueError, match=r"vertices > \d+") as caught:
+        canon.build_code_graph(rank_16)
+    vertices = int(re.search(r"vertices > (\d+)", str(caught.value)).group(1))
+    for stated in (
+        f"2^{bits} products",
+        f"chunks of 2^{properties._SLICE_BITS}",
+        f"at most {1 << (bits - properties._SLICE_BITS)} chunks",
+        f"2k + r > {bits}",
+        f"rank above {bits}",
+        f"above {vertices:,}",
+        f"more than {canon._MAX_QUBITS} qubits",
+        f"after 2^{css_bits} nodes",
+    ):
+        assert stated in bullets, stated
 
 
 def test_readme_module_names_exist():

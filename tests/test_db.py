@@ -188,6 +188,15 @@ def test_record_field_types(db3, tmp_path):
     bad.generators = [1, 2]
     with pytest.raises(ValueError, match=r"index=0\): .* generators$"):
         bad.validate()
+    for name, wrong, message in (
+        ("generators", ["XQ", "ZZ"], "bad generators: invalid Pauli letter"),
+        ("weight_enumerator", [1, 0], "weight enumerator length"),
+        ("canonical_key", "0g", "bad canonical key"),
+    ):
+        bad = CodeRecord.from_json(rec.to_json())
+        setattr(bad, name, wrong)
+        with pytest.raises(ValueError, match=rf"index=0\): {message}"):
+            bad.validate()
     # |Aut| is a positive decimal in ASCII digits, with no leading zero
     for wrong in ("0", "00", "012", "\u00b2", "\u0661", "", "-1", "+1", " 12", "12\n", "1e3"):
         bad = CodeRecord.from_json(rec.to_json())
@@ -489,3 +498,5 @@ def test_emit_distributions_incomplete(db3, tmp_path):
     )
     with pytest.raises(ValueError, match="incomplete"):
         emit_distributions(Database(tmp_path), 3)
+    with pytest.raises(ValueError, match="need n >= 0, got n = -1"):
+        emit_distributions(Database(tmp_path), -1)

@@ -102,8 +102,18 @@ class TestStabGroup:
         assert g.k == 3 and g.r == 0
 
     def test_rejects_dependent(self):
-        with pytest.raises(ValueError, match="independent"):
+        with pytest.raises(ValueError, match="cannot be independent"):
             StabGroup.from_strings(["XX", "ZZ", "YY"])
+        with pytest.raises(ValueError, match="generators are not independent"):
+            StabGroup.from_strings(["XX", "XX"])
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(ValueError, match="must have 2n columns"):
+            StabGroup(2, BitMatrix(3, [0b1]))
+
+    def test_empty_list_needs_n(self):
+        with pytest.raises(ValueError, match="cannot infer qubit count"):
+            StabGroup.from_strings([])
 
     def test_rejects_anticommuting(self):
         with pytest.raises(ValueError, match="anticommute"):

@@ -25,7 +25,7 @@ from stabdb.properties import (
     is_even,
     weight_enumerator,
 )
-from stabdb.search import enumerate_classes
+from stabdb.search import GraphState, enumerate_classes
 from stabdb.transform import LCPerm, apply_lcperm
 
 from reference_data import (
@@ -170,6 +170,38 @@ def test_distance_at_the_guard_is_fast_and_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1024 * 1024
+
+
+def test_weight_kernel_at_its_bound():
+    # r = 24 = 2k + r, the most the one bound admits: 2^24 group elements
+    # (a random graph state carried by a random symmetry, as every k = 0
+    # class is a graph state's)
+    rng = random.Random(61)
+    n = 24
+    adjacency = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    graph = GraphState(BitMatrix(n, adjacency)).stabilizer()
+    g = apply_lcperm(graph, random_lcperm(n, rng))
+    assert g.r == 24
+    coeffs = weight_enumerator(g).coeffs
+    assert sum(coeffs) == 1 << 24
+    assert next(w for w in range(1, n + 1) if coeffs[w]) == distance(g)
+
+
+def test_weight_kernel_refuses_above_its_bound(monkeypatch):
+    # r = 25 on 25 qubits: both refuse before the kernel weighs anything
+    def no_work(rows, n):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(properties, "_weight_slices", no_work)
+    g = StabGroup.from_strings(["I" * j + "Z" + "I" * (24 - j) for j in range(25)])
+    with pytest.raises(ValueError, match="enumeration guard"):
+        weight_enumerator(g)
+    with pytest.raises(ValueError, match="enumeration guard"):
+        distance(g)
 
 
 def test_degeneracy_examples():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -40,6 +41,11 @@ def test_enumerate_kmin_cutoff():
     assert len(res[(3, 2)]) == 3
     with pytest.raises(ValueError):
         enumerate_classes(3, k_min=4)
+
+
+def test_enumerate_refuses_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0, got n = -1"):
+        enumerate_classes(-1)
 
 
 def test_entry_order_and_indices():
@@ -184,6 +190,20 @@ def test_extend_maximal_group_rejected():
         extend_class(StabGroup.from_strings(["Z"], 1))
 
 
+def test_extend_class_coset_tables_are_small():
+    # each automorphism generator keeps two 2^k-entry tables, not one of
+    # 2^(2k): the 20 generators of the trivial 7-qubit group peaked at
+    # about 13 MiB with 16,384-entry tables
+    g = StabGroup.from_strings([], 7)
+    tracemalloc.start()
+    try:
+        assert len(extend_class(g)) == 7
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024
+
+
 GRAPH_ORBIT_COUNTS = {1: 1, 2: 2, 3: 3, 4: 6, 5: 11, 6: 26}
 
 
@@ -216,12 +236,12 @@ def test_graphstate_orbits_match_group_classes():
 
 
 def test_graphstate_validation():
-    with pytest.raises(ValueError):
-        GraphState(BitMatrix(2, [0b01, 0b00]))  # asymmetric
-    with pytest.raises(ValueError):
-        GraphState(BitMatrix(2, [0b01, 0b10]))  # diagonal entry
-    with pytest.raises(ValueError):
-        GraphState(BitMatrix(3, [0b010, 0b001]))  # not square
+    with pytest.raises(ValueError, match="must be symmetric"):
+        GraphState(BitMatrix(2, [0b10, 0b00]))
+    with pytest.raises(ValueError, match="diagonal must be zero"):
+        GraphState(BitMatrix(2, [0b01, 0b10]))
+    with pytest.raises(ValueError, match="must be square"):
+        GraphState(BitMatrix(3, [0b010, 0b001]))
 
 
 def test_single_edge_graph_group():

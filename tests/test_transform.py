@@ -134,6 +134,10 @@ class TestApplyPerm:
             with pytest.raises(ValueError):
                 LCPerm("III", image)
 
+    def test_rejects_other_qubit_count(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            apply_lcperm(group("XIZ"), LCPerm("II"))
+
 
 class TestSemidirect:
     def test_identity_laws(self):
