@@ -35,13 +35,12 @@ class, and that key is exactly what the full search would return.  Only
 the key leaves such a search: |Aut| and its generators need the whole
 tree, so canonical_form, aut_size and automorphisms never stop early.
 
-A group object is searched at most once.  The functions that take a
-StabGroup share one entry point that remembers each full search (key,
-labeling, generators, order) for as long as the group object lives, so
-the search that found a census class also answers automorphisms for its
-extensions and canonical_form for its record.  A search stopped at a
-known key is not remembered (it has no generators), and neither is a
-search of a bare ColoredGraph.
+A group object is searched at most once.  Every public search takes a
+StabGroup, and all go through one entry point that remembers each full
+search (key, labeling, generators, order) for as long as the group
+object lives, so the search that found a census class also answers
+automorphisms for its extensions and canonical_form for its record.  A
+search stopped at a known key is not remembered (it has no generators).
 """
 
 from __future__ import annotations
@@ -562,18 +561,15 @@ def _group_search(g: StabGroup, known=()):
     return found
 
 
-def canonical_form(obj: StabGroup | ColoredGraph) -> tuple[CanonicalKey, AutInfo]:
-    """Canonical key plus the exact automorphism group of a colored graph,
-    or of a group's code graph.
+def canonical_form(g: StabGroup) -> tuple[CanonicalKey, AutInfo]:
+    """Canonical key plus the exact automorphism group of a group's code
+    graph.
 
-    The key is invariant under every color-preserving relabeling: equal
-    keys exactly for isomorphic colored graphs.  A group is searched at
-    most once (see the module docstring); a graph is searched each call.
+    The key is invariant under every color-preserving relabeling of the
+    graph: equal keys exactly for equivalent groups.  A group is searched
+    at most once (see the module docstring).
     """
-    if isinstance(obj, StabGroup):
-        key, _, gens, size = _group_search(obj)
-    else:
-        key, _, gens, size = _canonical_search(obj)
+    key, _, gens, size = _group_search(g)
     return key, AutInfo(size, gens)
 
 

@@ -76,6 +76,8 @@ class StabGroup:
 
     gens holds r = n - k packed [x|z] rows of rank r that pairwise commute.
     The empty generating set (r = 0, the trivial group {I}) is legal.
+    Every group is checked when built, by the library's own builders as
+    for user input: dependent or anticommuting rows raise ValueError.
     A group can be weakly referenced, so canon can remember its search
     for as long as the group lives.  A group is therefore never changed
     once built: no code assigns n or gens or alters gens.rows afterwards,
@@ -84,26 +86,22 @@ class StabGroup:
 
     __slots__ = ("n", "gens", "__weakref__")
 
-    def __init__(self, n: int, gens: BitMatrix, validate: bool = True):
+    def __init__(self, n: int, gens: BitMatrix):
         if gens.ncols != 2 * n:
             raise ValueError("generator matrix must have 2n columns")
-        if len(gens.rows) > n:
+        rows = gens.rows
+        if len(rows) > n:
             raise ValueError("more than n generators cannot be independent and abelian")
-        self.n = n
-        self.gens = gens
-        if validate:
-            self._check()
-
-    def _check(self) -> None:
-        rows = self.gens.rows
         if _rank_of_rows(rows) != len(rows):
             raise ValueError("generators are not independent")
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
-                if symplectic_product(rows[i], rows[j], self.n):
+                if symplectic_product(rows[i], rows[j], n):
                     raise ValueError(
                         f"generators {i} and {j} anticommute; not a stabilizer group"
                     )
+        self.n = n
+        self.gens = gens
 
     @classmethod
     def from_strings(cls, strings, n: int | None = None) -> "StabGroup":

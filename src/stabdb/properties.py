@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2core import BitMatrix, _rank_of_rows, reduce_row, rref, span
+from .f2core import BitMatrix, _rank_of_rows, kernel, reduce_row, rref, span
 from .pauli import StabGroup, logical_rows
 from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
@@ -254,8 +254,9 @@ def css_representative(g: StabGroup):
     and stay independent on the suffix, so the final sum is at least the
     prefix sum plus r - R_j, above r, while a witness needs exactly r.  The
     order of the odometer is unchanged, so the first witness is too.  Qubit
-    permutations never help, so none are tried.  Raises ValueError once the
-    search visits more than CSS_MAX_NODES nodes.
+    permutations never help, so none are tried.  Once the search visits
+    more than CSS_MAX_NODES nodes, _css_excluded answers None when it
+    proves that no witness exists, and ValueError is raised otherwise.
     """
     n, r = g.n, g.r
     if r == 0:
@@ -309,12 +310,50 @@ def css_representative(g: StabGroup):
             gates.pop()
         return False
 
-    found = search(0, [], [])
+    try:
+        found = search(0, [], [])
+    except ValueError:
+        if not _css_excluded(cols, r):
+            raise
+        found = False
     del search  # it refers to itself: free the search state now
     if not found:
         return None
     w = LCPerm(gates)
     return w, apply_lcperm(g, w)
+
+
+def _css_excluded(cols, r: int) -> bool:
+    """Whether one GF(2) system proves that no letter permutation makes the
+    group CSS; False leaves the question open.
+
+    cols[j] = (x_j, z_j) holds qubit j's X and Z columns over the r
+    generators, vectors in F_2^r, and W_j = span(x_j, z_j).  A letter
+    permutation makes the new columns two of x_j, z_j and x_j + z_j, so
+    it keeps W_j.  Take a CSS image whose X part spans U and whose Z part
+    spans V.  Its X and Z ranks add up to r, and U + V holds every column,
+    which span F_2^r (the generators are independent), so F_2^r = U ⊕ V.
+    The projection onto U along V then maps each W_j into itself, onto
+    the span of its new X column: rank 1 on a 2-dimensional W_j, whose
+    two new columns are nonzero and distinct.  So if some W_j is
+    2-dimensional and the only r x r maps that send every W_j into itself
+    are 0 and the identity, the group has no CSS form.
+    A sends W_j into itself exactly when f(A w) = 0 for w = x_j, z_j and
+    each f in a basis of W_j's annihilator, and f(A w) is the sum of
+    A[a][b] over f_a = w_b = 1: one equation in the r^2 entries of A,
+    entry (a, b) at bit a * r + b.  The maps form a space holding the
+    identity, so they are 0 and the identity alone exactly when the
+    equations have rank r^2 - 1.
+    """
+    equations = []
+    two_dim = False
+    for cx, cz in cols:
+        annihilator = kernel(BitMatrix(r, [cx, cz])).rows
+        two_dim |= len(annihilator) == r - 2
+        for f in annihilator:
+            for w in (cx, cz):  # a zero or repeated w adds nothing
+                equations.append(sum(w << (a * r) for a in range(r) if f >> a & 1))
+    return two_dim and _rank_of_rows(equations) == r * r - 1
 
 
 def gf4_linear_test(g: StabGroup) -> bool:

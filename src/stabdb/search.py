@@ -64,11 +64,11 @@ class GraphState:
     def stabilizer(self) -> StabGroup:
         n = self.n
         rows = [(1 << j) | (self.adjacency.rows[j] << n) for j in range(n)]
-        return StabGroup(n, BitMatrix(2 * n, rows), validate=False)
+        return StabGroup(n, BitMatrix(2 * n, rows))
 
 
 def extend_class(
-    rep: StabGroup, known=None, position: int = 0, orbits=None
+    rep: StabGroup, known=({}, ()), position: int = 0, orbits=None
 ) -> list[StabGroup]:
     """Rank r+1 supergroups of rep, one per Aut(rep)-orbit of extensions.
 
@@ -82,18 +82,19 @@ def extend_class(
     earliest extension landing in any class is the earliest of its own
     orbit, so a first-found-wins search keeps the same representatives.
 
-    In a census, rep is the representative at `position` of its level,
-    and known (from _label_index) holds rank-r groups labelled with the
-    position of their class in that level.  An extension C that contains
-    a group Q labelled p < position is dropped unsearched.  A symmetry
+    known is a level index as _label_index builds it, by default the
+    empty one.  In a census, rep is the representative at `position` of
+    its level, and known holds rank-r groups labelled with the position
+    of their class in that level.  An extension C that contains a group
+    Q labelled p < position is dropped unsearched.  A symmetry
     maps Q onto the representative P_p and C onto an extension of P_p,
     which lies in the Aut(P_p)-orbit of one that extend_class(P_p)
     returned earlier in the level.  So C's class is found already, and C
     could not be its first member: keys, representatives and indexes
     stay those of the unfiltered walk.  A dropped extension still floods
-    its orbit, so the list is a subsequence of the one returned without
-    known.  For each returned extension, (position, coset rows of its
-    orbit) is appended to orbits when that is a list.
+    its orbit, so the list is a subsequence of the one returned with the
+    empty index.  For each returned extension, (position, coset rows of
+    its orbit) is appended to orbits when that is a list.
     """
     if rep.k < 1:
         raise ValueError("a group with k = 0 admits no extension")
@@ -127,23 +128,22 @@ def extend_class(
             )
         tables.append((span(images[r:r + k]), span(images[r + k:])))
 
-    if known is not None:
-        labels, parents = known
-        below = position * len(parents)  # labels of classes before position
-        group = span(basis[:r])
-        inside = set(group)
-        # labelled rows inside rep itself, met by every extension
-        fixed = [v for e in group for v in labels.get(e, ()) if v < below]
+    labels, parents = known
+    below = position * len(parents)  # labels of classes before position
+    group = span(basis[:r])
+    inside = set(group)
+    # labelled rows inside rep itself, met by every extension
+    fixed = [v for e in group for v in labels.get(e, ()) if v < below]
 
-        def contains_earlier(x):
-            """Whether rep + x contains a known group placed before position."""
-            hits = fixed + [
-                v for e in group for v in labels.get(e ^ x, ()) if v < below
-            ]
-            return any(
-                all(g in inside or g ^ x in inside for g in parents[v % len(parents)])
-                for v in hits
-            )
+    def contains_earlier(x):
+        """Whether rep + x contains a known group placed before position."""
+        hits = fixed + [
+            v for e in group for v in labels.get(e ^ x, ()) if v < below
+        ]
+        return any(
+            all(g in inside or g ^ x in inside for g in parents[v % len(parents)])
+            for v in hits
+        )
 
     elements = span(cosets)
     seen = bytearray(len(elements))
@@ -161,10 +161,10 @@ def extend_class(
                 if not seen[v]:
                     seen[v] = 1
                     orbit.append(v)
-        if known is not None and contains_earlier(elements[c]):
+        if contains_earlier(elements[c]):
             continue
         rows = basis[:r] + [elements[c]]
-        out.append(StabGroup(n, BitMatrix(2 * n, rows), validate=False))
+        out.append(StabGroup(n, BitMatrix(2 * n, rows)))
         if orbits is not None:
             orbits.append((position, [elements[u] for u in orbit]))
     return out
@@ -224,7 +224,7 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
     trivial = StabGroup.from_strings([], n)
     level = [ClassEntry(class_key(trivial), trivial, 0)]
     result = {(n, n): level}
-    known = None
+    known = ({}, ())  # the trivial group's level has no index
     for k in range(n - 1, k_min - 1, -1):
         firsts = []
         orbits = [] if k > k_min else None  # the last level is not extended
@@ -237,7 +237,7 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
             firsts,
         )
         result[(n, k)] = level
-        known = None  # freed before the next index is built
+        known = ({}, ())  # freed before the next index is built
         if orbits is not None:
             known = _label_index(parents, level, firsts, orbits)
     return result
@@ -300,7 +300,7 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
             gens[i] ^= gens[first]
             exps[i] ^= exps[first]
         del gens[first], exps[first]
-    return StabGroup(n, BitMatrix(2 * n, gens), validate=False)
+    return StabGroup(n, BitMatrix(2 * n, gens))
 
 
 def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
@@ -359,9 +359,9 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
         ["I"] * len(p_x) + ["H"] * (n - len(p_x)),
         [order.index(j) for j in range(n)],
     )
-    h_full = apply_lcperm(StabGroup(n, full, validate=False), relabel_h)
+    h_full = apply_lcperm(StabGroup(n, full), relabel_h)
     h_rows, _ = rref(h_full.gens, range(n))
-    h_form = StabGroup(n, h_rows, validate=False)
+    h_form = StabGroup(n, h_rows)
     s_layer = LCPerm(
         ["S" if (row >> (n + j)) & 1 else "I"
          for j, row in enumerate(h_form.gens.rows)]

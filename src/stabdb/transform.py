@@ -149,4 +149,4 @@ def apply_lcperm(g: StabGroup, a: LCPerm) -> StabGroup:
     if a.n != g.n:
         raise ValueError("qubit counts differ")
     rows = lcperm_rows(a, g.gens.rows)
-    return StabGroup(g.n, BitMatrix(2 * g.n, rows), validate=False)
+    return StabGroup(g.n, BitMatrix(2 * g.n, rows))

@@ -11,6 +11,7 @@ import pytest
 
 from stabdb import canon, search
 from stabdb.canon import (
+    AutInfo,
     ColoredGraph,
     are_equivalent,
     aut_size,
@@ -33,6 +34,13 @@ from util import (
 
 def group(*strings, n=None):
     return StabGroup.from_strings(strings, n=n)
+
+
+def graph_form(gph):
+    """(key, AutInfo) of a bare colored graph, searched afresh: the search
+    canonical_form runs on a group's code graph."""
+    key, _, gens, size = canon._canonical_search(gph)
+    return key, AutInfo(size, gens)
 
 
 def _fresh_copy(g):
@@ -181,7 +189,7 @@ class TestCanonicalForm:
                 edges.add((min(u, v), max(u, v)))
             colors = [rng.choice([1, 2]) for _ in range(n)]
             gph = ColoredGraph(n, colors, edges)
-            key1, _ = canonical_form(gph)
+            key1, _ = graph_form(gph)
             relab = list(range(n))
             rng.shuffle(relab)
             gph2 = ColoredGraph(
@@ -189,11 +197,16 @@ class TestCanonicalForm:
                 [colors[relab.index(i)] for i in range(n)],
                 [(relab[u], relab[v]) for u, v in edges],
             )
-            key2, _ = canonical_form(gph2)
+            key2, _ = graph_form(gph2)
             assert key1 == key2
 
+    def test_takes_only_groups(self):
+        # a bare graph has no group to remember its search by
+        with pytest.raises(TypeError):
+            canonical_form(build_code_graph(group("XX", "ZZ")))
+
     def test_single_triangle_aut(self):
-        key, aut = canonical_form(build_code_graph(group(n=1)))
+        key, aut = graph_form(build_code_graph(group(n=1)))
         assert aut.size == 6
 
     def test_single_z_aut(self):
@@ -202,7 +215,7 @@ class TestCanonicalForm:
     def test_generators_preserve_colors_and_triangles(self):
         g = group("XXXX", "ZZZZ")
         gph = build_code_graph(g)
-        _, aut = canonical_form(gph)
+        _, aut = graph_form(gph)
         t = 1 << g.r
         for perm in aut.generators:
             for v in range(gph.nverts):
@@ -283,7 +296,7 @@ class TestAutOrder:
     def test_known_graphs(self, nverts, edges, expect):
         gph = ColoredGraph(nverts, [1] * nverts, edges)
         assert _count_automorphisms(gph) == expect
-        aut = canonical_form(gph)[1]
+        aut = graph_form(gph)[1]
         assert aut.size == expect
         # the generators the jump-back search keeps still generate the group
         assert closure_order(aut.generators, nverts) == expect
@@ -292,7 +305,7 @@ class TestAutOrder:
     def test_random_colored_graphs(self):
         for gph in _random_colored_graphs():
             nv = gph.nverts
-            aut = canonical_form(gph)[1]
+            aut = graph_form(gph)[1]
             assert aut.size == _count_automorphisms(gph)
             assert closure_order(aut.generators, nv) == aut.size
             assert len(aut.generators) <= nv - 1
@@ -334,7 +347,7 @@ class TestRefine:
                 graphs.append(build_code_graph(apply_lcperm(g, random_lcperm(7, rng))))
         graphs += _random_colored_graphs()
         for gph in graphs:  # graphs: no search is remembered
-            canonical_form(gph)
+            graph_form(gph)
         assert len(checked_calls) > len(graphs)
 
     def test_one_vertex_splitter_fills_a_cell(self, checked_calls):
@@ -543,10 +556,10 @@ class TestExactPruning:
             for cell in sorted(full_enumeration[n]["classes"])
             for e in full_enumeration[n]["classes"][cell]
         ]
-        for of in (build_code_graph, lambda g: g):
+        for form in (lambda g: graph_form(build_code_graph(g)), canonical_form):
             digest = hashlib.sha256()
             for g in reps + list(N7_CODES.values()):
-                key, aut = canonical_form(of(g))
+                key, aut = form(g)
                 digest.update(repr((key, aut.size, aut.generators)).encode())
             assert digest.hexdigest() == (
                 "487fdebb7151fc36c6225264781a498720552ac118b24a386e9e21dab568013d"
@@ -566,7 +579,7 @@ class TestExactPruning:
         g = N7_CODES[name]
         for h in [g] + [apply_lcperm(g, random_lcperm(7, rng)) for _ in range(10)]:
             calls.clear()
-            canonical_form(build_code_graph(h))
+            graph_form(build_code_graph(h))
             assert len(calls) == 1
 
     def test_search_leaves_no_garbage(self):
@@ -574,7 +587,7 @@ class TestExactPruning:
         gc.collect()
         gc.disable()
         try:
-            canonical_form(gph)
+            graph_form(gph)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -624,7 +637,7 @@ class TestOneSearchPerGroup:
             assert class_key(g) == class_key(fresh)
             assert aut_size(g) == aut_size(fresh)
             assert automorphisms(g) == automorphisms(fresh)
-            assert canonical_form(g) == canonical_form(build_code_graph(fresh))
+            assert canonical_form(g) == graph_form(build_code_graph(fresh))
 
     def test_census_searches_each_class_once(self, monkeypatch):
         monkeypatch.setattr(canon, "_searched", weakref.WeakKeyDictionary())

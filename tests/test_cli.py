@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import random
 import re
 import shlex
 import shutil
@@ -19,6 +20,8 @@ from stabdb.db import build_records
 from stabdb.pauli import StabGroup
 from stabdb.properties import WeightEnum
 from stabdb.search import enumerate_classes
+
+from util import random_stab_group
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -244,6 +247,15 @@ def test_props_css_guard_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
     assert main(["props", "--gens", "XZZXI;IXZZX;XIXZZ;ZXIXZ"]) == 2
     assert "CSS search over 10 nodes" in capsys.readouterr().err
+
+
+def test_props_css_fallback_answers_false(monkeypatch, capsys):
+    # past the CSS bound, the exact fallback proves a generic random group
+    # has no CSS form (test_properties checks it against the search)
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 1000)
+    g = random_stab_group(20, 18, random.Random(1))
+    assert main(["props", "--gens", ";".join(g.generator_strings())]) == 0
+    assert "is_css: false" in capsys.readouterr().out.splitlines()
 
 
 def test_enumerate_above_7_exits_2(tmp_path, capsys):

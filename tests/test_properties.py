@@ -11,7 +11,7 @@ import pytest
 
 from stabdb import properties
 from stabdb.canon import aut_size, class_key
-from stabdb.f2core import BitMatrix
+from stabdb.f2core import BitMatrix, span
 from stabdb.pauli import StabGroup, parse_pauli, symplectic_product
 from stabdb.properties import (
     WeightEnum,
@@ -160,6 +160,19 @@ def test_distance_over_two_chunks_matches_brute_force():
 def test_distance_at_the_guard_is_fast_and_small():
     # 2k + r = 24, the most the guard admits: 2^24 operators in 256 chunks
     g = random_stab_group(16, 8, random.Random(3))
+    # the oracle: no Pauli of weight 1, and some of weight 2, commutes
+    # with every generator and lies outside the group
+    n = g.n
+    elements = set(span(g.gens.rows))
+
+    def logical(row):
+        return row not in elements and not any(
+            symplectic_product(row, s, n) for s in g.gens.rows
+        )
+
+    singles = [letter << j for j in range(n) for letter in (1, 1 << n, 1 | 1 << n)]
+    assert not any(map(logical, singles))
+    assert any(logical(a ^ b) for a, b in itertools.combinations(singles, 2))
     start = time.perf_counter()
     assert distance(g) == 2
     assert time.perf_counter() - start < 2.0
@@ -289,10 +302,51 @@ def test_css_representative_absent():
 
 
 def test_css_search_is_bounded(monkeypatch):
-    # the [[5,1,3]] code has no CSS form, so its search runs to exhaustion
+    # the [[5,1,3]] code has no CSS form, so its search runs to exhaustion,
+    # and its maps that keep every qubit's column span form a
+    # 2-dimensional space, so the exact fallback leaves it open
     monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
     with pytest.raises(ValueError, match="CSS search over 10 nodes"):
         css_representative(group_from_row(PERFECT_513_ROW))
+
+
+def test_css_fallback_agrees_with_search(full_enumeration, monkeypatch):
+    # with no node allowed, only the fallback answers a group of rank >= 1:
+    # it may prove there is no CSS form, and never for a class the search
+    # finds a witness for
+    reps = [
+        e.rep
+        for n in range(1, 7)
+        for entries in full_enumeration[n]["classes"].values()
+        for e in entries
+    ]
+    found = [css_representative(g) for g in reps]
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 0)
+    decided = 0
+    for g, witness in zip(reps, found):
+        if g.r == 0:
+            continue
+        try:
+            got = css_representative(g)
+        except ValueError:
+            continue
+        assert got is None and witness is None, g
+        decided += 1
+    assert (len(reps), decided) == (640, 60)
+
+
+def test_css_fallback_decides_random_20_qubit_groups(monkeypatch):
+    # past the bound, a generic group's only maps keeping every qubit's
+    # column span are 0 and the identity, which proves there is no CSS form
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 1000)
+    ranks = []
+    excluded = properties._css_excluded
+    monkeypatch.setattr(
+        properties, "_css_excluded", lambda cols, r: ranks.append(r) or excluded(cols, r)
+    )
+    for seed in range(1, 5):
+        assert css_representative(random_stab_group(20, 18, random.Random(seed))) is None
+    assert ranks == [18] * 4  # each search reached the bound
 
 
 def _all_z7_images(count):

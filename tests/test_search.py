@@ -164,7 +164,7 @@ def test_dropped_extensions_are_found_classes(monkeypatch):
     filtered = search.extend_class
     counts = {}
 
-    def extend(rep, known=None, position=0, orbits=None):
+    def extend(rep, known=({}, ()), position=0, orbits=None):
         out = filtered(rep, known, position, orbits)
         kept = [g.gens.rows for g in out]
         walk = [g.gens.rows for g in filtered(rep)]
@@ -316,7 +316,7 @@ def test_cws_and_decompose_outputs_pinned(full_enumeration):
         out = (gs.adjacency.rows, words.rows, rep.trivial_qubits, factors)
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == (
-        "cd83f56b49744f1cafa92b3a30d24925ae401c2238df5228d6d58d7b7fd62157"
+        "d48bd90fe97c8faf7cc811a52e7d55c5cc7e253886ee576eaa8f775b32b36bc4"
     )
 
 

@@ -5,22 +5,30 @@ import random
 from collections import deque
 
 from stabdb.f2core import BitMatrix, rank, reduce_row, rref, span
-from stabdb.pauli import StabGroup, logical_rows, symplectic_product
+from stabdb.pauli import StabGroup, centralizer, logical_rows, symplectic_product
 from stabdb.transform import LCPerm
 
 
 def random_stab_group(n: int, r: int, rng) -> StabGroup:
-    """A random stabilizer group with exactly r independent generators."""
+    """A random stabilizer group with exactly r independent generators.
+
+    Each new row is uniform over the centralizer of the rows kept, outside
+    their span: a uniform combination of a centralizer basis, drawn again
+    while it lies in the span, which it does with odds 2^m / 2^(2n - m) <=
+    1/2 for m < n rows kept.  Rejecting uniform Paulis that anticommute or
+    depend would give the same distribution in about 2^m draws a row.
+    """
     assert 0 <= r <= n
-    rows: list[int] = []
-    while len(rows) < r:
-        cand = rng.randrange(1, 1 << (2 * n))
-        if any(symplectic_product(cand, q, n) for q in rows):
-            continue
-        if rank(BitMatrix(2 * n, rows + [cand])) != len(rows) + 1:
-            continue
-        rows.append(cand)
-    return StabGroup(n, BitMatrix(2 * n, rows))
+    g = StabGroup(n, BitMatrix(2 * n))
+    while g.r < r:
+        basis = centralizer(g).rows
+        cand = 0
+        for row in basis:
+            if rng.getrandbits(1):
+                cand ^= row
+        if rank(BitMatrix(2 * n, g.gens.rows + [cand])) > g.r:
+            g = StabGroup(n, BitMatrix(2 * n, g.gens.rows + [cand]))
+    return g
 
 
 def random_lcperm(n: int, seed=None) -> LCPerm:
