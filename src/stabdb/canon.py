@@ -36,19 +36,19 @@ the key leaves such a search: |Aut| and its generators need the whole
 tree, so canonical_form, aut_size and automorphisms never stop early.
 
 A group object is searched at most once.  Every public search takes a
-StabGroup, and all go through one entry point that remembers each full
-search (key, labeling, generators, order) for as long as the group
-object lives, so the search that found a census class also answers
-automorphisms for its extensions and canonical_form for its record.  A
-search stopped at a known key is not remembered (it has no generators).
+StabGroup, and all go through one entry point that keeps each full
+search, a SearchResult (key, labeling, generators, order), in the group's
+_search slot.  The search that found a census class then also answers
+automorphisms for its extensions and canonical_form for its record, and
+it travels with the group when the group is copied or pickled.  A search
+stopped at a known key is not kept (it has no generators).
 """
 
 from __future__ import annotations
 
 import struct
-import weakref
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .f2core import span
 from .pauli import StabGroup
@@ -57,7 +57,7 @@ from .transform import _INDEX_OF, LCPerm, apply_lcperm
 __all__ = [
     "ColoredGraph",
     "CanonicalKey",
-    "AutInfo",
+    "SearchResult",
     "build_code_graph",
     "canonical_form",
     "class_key",
@@ -119,12 +119,15 @@ class ColoredGraph:
         return f"ColoredGraph(nverts={self.nverts}, nedges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class AutInfo:
-    """Order and generators of a colored-graph automorphism group."""
+class SearchResult(NamedTuple):
+    """One canonical search of a code graph: the key, the best leaf's
+    labeling (vertex -> position), and the automorphism group's generators
+    and order, which are None when the search stopped at a known key."""
 
-    size: int
-    generators: tuple
+    key: CanonicalKey
+    labeling: tuple
+    generators: tuple | None
+    size: int | None
 
 
 def build_code_graph(g: StabGroup) -> ColoredGraph:
@@ -367,8 +370,8 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return k
 
 
-def _canonical_search(gph: ColoredGraph, known=()):
-    """Returns (key, best labeling, automorphism generators, group order).
+def _canonical_search(gph: ColoredGraph, known=()) -> SearchResult:
+    """The canonical key, best labeling, automorphism generators and order.
 
     The order is read off the search tree (McKay & Piperno, "Practical
     graph isomorphism II", 2014).  At each node of the first path, once its
@@ -522,9 +525,9 @@ def _canonical_search(gph: ColoredGraph, known=()):
     stopped = explore(root, ()) < 0
     del explore  # it refers to itself: free the search state now
     if stopped:
-        return first_key, first[1], None, None
+        return SearchResult(first_key, tuple(first[1]), None, None)
     cert, lab, _ = best
-    return _serialize(gph, lab, cert), tuple(lab), tuple(gens), size
+    return SearchResult(_serialize(gph, lab, cert), tuple(lab), tuple(gens), size)
 
 
 def _serialize(gph: ColoredGraph, lab, cert) -> bytes:
@@ -540,28 +543,26 @@ def _serialize(gph: ColoredGraph, lab, cert) -> bytes:
     )
 
 
-# full searches of live group objects; an entry goes with its group
-_searched = weakref.WeakKeyDictionary()
-
-
-def _group_search(g: StabGroup, known=()):
+def _group_search(g: StabGroup, known=()) -> SearchResult:
     """_canonical_search of g's code graph, run at most once per group object.
 
-    A full search is remembered until g is collected, and later calls
-    return it whatever their known keys: its key is the one a search
-    stopped at a known key returns.  A stopped search is not remembered.
-    The result is shared by every later caller, so it is all tuples, and
-    it holds only while g is not changed (see StabGroup).
+    A full search is kept in g's _search slot, and later calls return it
+    whatever their known keys: its key is the one a search stopped at a
+    known key returns.  A stopped search is not kept.  The record is
+    shared by every later caller and by every copy of g, so it is all
+    tuples, and it holds only while g is not changed (see StabGroup).
     """
-    found = _searched.get(g)
+    if not isinstance(g, StabGroup):
+        raise TypeError(f"expected a StabGroup, got {type(g).__name__}")
+    found = g._search
     if found is None:
         found = _canonical_search(build_code_graph(g), known)
-        if found[2] is not None:
-            _searched[g] = found
+        if found.size is not None:
+            g._search = found
     return found
 
 
-def canonical_form(g: StabGroup) -> tuple[CanonicalKey, AutInfo]:
+def canonical_form(g: StabGroup) -> tuple[CanonicalKey, SearchResult]:
     """Canonical key plus the exact automorphism group of a group's code
     graph.
 
@@ -569,8 +570,8 @@ def canonical_form(g: StabGroup) -> tuple[CanonicalKey, AutInfo]:
     graph: equal keys exactly for equivalent groups.  A group is searched
     at most once (see the module docstring).
     """
-    key, _, gens, size = _group_search(g)
-    return key, AutInfo(size, gens)
+    found = _group_search(g)
+    return found.key, found
 
 
 def class_key(g: StabGroup, known=()) -> CanonicalKey:
@@ -581,12 +582,12 @@ def class_key(g: StabGroup, known=()) -> CanonicalKey:
     in it: they are a relabeled copy of g's code graph, so g lies in that
     key's class, and the key returned is the one the full search gives.
     """
-    return _group_search(g, known)[0]
+    return _group_search(g, known).key
 
 
 def aut_size(g: StabGroup) -> int:
     """Order of the symmetry stabilizer {phi : phi(S) = S}."""
-    return _group_search(g)[3]
+    return _group_search(g).size
 
 
 def _lcperm_of_vertex_map(vmap, n: int, t: int) -> LCPerm:
@@ -617,17 +618,9 @@ def automorphisms(g: StabGroup) -> tuple[LCPerm, ...]:
     They are the code graph's automorphism generators found by the
     canonical search, decoded through their action on the qubit triangles.
     """
-    _, _, gens, _ = _group_search(g)
+    gens = _group_search(g).generators
     t = 1 << g.r
     return tuple(_lcperm_of_vertex_map(perm, g.n, t) for perm in gens)
-
-
-def _witness_from_labelings(a: StabGroup, lab_a, lab_b) -> LCPerm:
-    """LCPerm carrying group a onto group b, from matching canonical labels."""
-    inv_b = [0] * len(lab_b)
-    for v, p in enumerate(lab_b):
-        inv_b[p] = v
-    return _lcperm_of_vertex_map([inv_b[p] for p in lab_a], a.n, 1 << a.r)
 
 
 def are_equivalent(a: StabGroup, b: StabGroup, witness: bool = False):
@@ -637,19 +630,23 @@ def are_equivalent(a: StabGroup, b: StabGroup, witness: bool = False):
     maps a onto b and is re-verified by applying it before returning.
     b is searched knowing a's key, so an equivalent b stops at its first
     leaf; that leaf labels b onto a's canonical image, as the witness needs,
-    and so does the best leaf of a remembered full search of b.
+    and so does the best leaf of a kept full search of b.
     """
     if a.n != b.n:
         raise ValueError("groups act on different qubit counts")
     if a.r != b.r:
         return (False, None) if witness else False
-    key_a, lab_a, _, _ = _group_search(a)
-    key_b, lab_b, _, _ = _group_search(b, {key_a})
+    found_a = _group_search(a)
+    found_b = _group_search(b, {found_a.key})
     if not witness:
-        return key_a == key_b
-    if key_a != key_b:
+        return found_a.key == found_b.key
+    if found_a.key != found_b.key:
         return False, None
-    w = _witness_from_labelings(a, lab_a, lab_b)
+    # inv_b[p]: b's vertex at position p of the common canonical image
+    inv_b = [0] * len(found_b.labeling)
+    for v, p in enumerate(found_b.labeling):
+        inv_b[p] = v
+    w = _lcperm_of_vertex_map([inv_b[p] for p in found_a.labeling], a.n, 1 << a.r)
     moved = apply_lcperm(a, w)
     if not moved.same_group(b):
         raise AssertionError("internal error: witness failed verification")

@@ -78,13 +78,14 @@ class StabGroup:
     The empty generating set (r = 0, the trivial group {I}) is legal.
     Every group is checked when built, by the library's own builders as
     for user input: dependent or anticommuting rows raise ValueError.
-    A group can be weakly referenced, so canon can remember its search
-    for as long as the group lives.  A group is therefore never changed
-    once built: no code assigns n or gens or alters gens.rows afterwards,
-    and a group that did change would keep the search of its old self.
+    The _search slot is None until canon keeps the group's canonical
+    search there, and the search travels with the group when it is copied
+    or pickled.  A group is therefore never changed once built: no code
+    assigns n or gens or alters gens.rows afterwards, and a group that did
+    change would keep the search of its old self.
     """
 
-    __slots__ = ("n", "gens", "__weakref__")
+    __slots__ = ("n", "gens", "_search")
 
     def __init__(self, n: int, gens: BitMatrix):
         if gens.ncols != 2 * n:
@@ -102,6 +103,7 @@ class StabGroup:
                     )
         self.n = n
         self.gens = gens
+        self._search = None
 
     @classmethod
     def from_strings(cls, strings, n: int | None = None) -> "StabGroup":

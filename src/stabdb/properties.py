@@ -335,25 +335,36 @@ def _css_excluded(cols, r: int) -> bool:
     which span F_2^r (the generators are independent), so F_2^r = U ⊕ V.
     The projection onto U along V then maps each W_j into itself, onto
     the span of its new X column: rank 1 on a 2-dimensional W_j, whose
-    two new columns are nonzero and distinct.  So if some W_j is
-    2-dimensional and the only r x r maps that send every W_j into itself
-    are 0 and the identity, the group has no CSS form.
+    two new columns are nonzero and distinct, so its trace there is 1.
+    So if no r x r map A sends every W_j into itself with trace 1 on
+    every 2-dimensional W_j, the group has no CSS form.
     A sends W_j into itself exactly when f(A w) = 0 for w = x_j, z_j and
     each f in a basis of W_j's annihilator, and f(A w) is the sum of
     A[a][b] over f_a = w_b = 1: one equation in the r^2 entries of A,
-    entry (a, b) at bit a * r + b.  The maps form a space holding the
-    identity, so they are 0 and the identity alone exactly when the
-    equations have rank r^2 - 1.
+    entry (a, b) at bit a * r + b.  On such a W_j the trace of A is
+    f_x(A x_j) + f_z(A z_j), where f_x(x_j) = f_z(z_j) = 1 and f_x(z_j) =
+    f_z(x_j) = 0: one more equation, whose right-hand side 1 is bit r^2.
+    The system has no solution exactly when that bit raises its rank.
     """
+    one = 1 << (r * r)
+
+    def entries(f, w):  # the entries of A that f(A w) sums
+        return sum(w << (a * r) for a in range(r) if f >> a & 1)
+
+    def dual(w, other):  # a functional that is 1 on w and 0 on other
+        zero_on_other = kernel(BitMatrix(r, [other])).rows
+        return next(f for f in zero_on_other if (f & w).bit_count() & 1)
+
     equations = []
-    two_dim = False
     for cx, cz in cols:
         annihilator = kernel(BitMatrix(r, [cx, cz])).rows
-        two_dim |= len(annihilator) == r - 2
         for f in annihilator:
             for w in (cx, cz):  # a zero or repeated w adds nothing
-                equations.append(sum(w << (a * r) for a in range(r) if f >> a & 1))
-    return two_dim and _rank_of_rows(equations) == r * r - 1
+                equations.append(entries(f, w))
+        if len(annihilator) == r - 2:
+            trace = entries(dual(cx, cz), cx) ^ entries(dual(cz, cx), cz)
+            equations.append(trace | one)
+    return _rank_of_rows(equations) > _rank_of_rows([e & ~one for e in equations])
 
 
 def gf4_linear_test(g: StabGroup) -> bool:

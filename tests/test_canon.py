@@ -4,14 +4,13 @@ import gc
 import hashlib
 import itertools
 import math
+import pickle
 import random
-import weakref
 
 import pytest
 
 from stabdb import canon, search
 from stabdb.canon import (
-    AutInfo,
     ColoredGraph,
     are_equivalent,
     aut_size,
@@ -37,14 +36,14 @@ def group(*strings, n=None):
 
 
 def graph_form(gph):
-    """(key, AutInfo) of a bare colored graph, searched afresh: the search
-    canonical_form runs on a group's code graph."""
-    key, _, gens, size = canon._canonical_search(gph)
-    return key, AutInfo(size, gens)
+    """(key, SearchResult) of a bare colored graph, searched afresh: the
+    search canonical_form runs on a group's code graph."""
+    found = canon._canonical_search(gph)
+    return found.key, found
 
 
 def _fresh_copy(g):
-    """The same group as a new object, which has no remembered search."""
+    """The same group as a new object, which has no kept search."""
     return StabGroup.from_strings(g.generator_strings(), g.n)
 
 
@@ -201,7 +200,7 @@ class TestCanonicalForm:
             assert key1 == key2
 
     def test_takes_only_groups(self):
-        # a bare graph has no group to remember its search by
+        # a bare graph has no slot to keep its search in
         with pytest.raises(TypeError):
             canonical_form(build_code_graph(group("XX", "ZZ")))
 
@@ -510,7 +509,7 @@ class TestEarlyExit:
                 found = set()  # as enumerate_classes passes them
                 for entry in classes[(n, k)]:
                     for cand in extend_class(entry.rep):
-                        # the full search of cand is remembered, so the
+                        # the full search of cand is kept on it, so the
                         # known-key searches run on fresh copies
                         key = class_key(cand)
                         assert class_key(_fresh_copy(cand), found) == key
@@ -532,7 +531,7 @@ class TestEarlyExit:
             return refine(self, adj, worklist)
 
         monkeypatch.setattr(canon._Partition, "refine", counted)
-        # fresh copies, so that neither call reads a remembered search
+        # fresh copies, so that neither call reads a kept search
         key = class_key(_fresh_copy(g))
         full = len(calls)
         calls.clear()
@@ -598,10 +597,9 @@ class TestSearchWork:
     grows the search tree fails here."""
 
     def test_census_n5_counts(self, monkeypatch):
-        # fresh groups and an empty table, so every search runs: one
-        # refine per node (each root and each individualized child), one
-        # _leaf_cert per leaf that no automorphism check caught
-        monkeypatch.setattr(canon, "_searched", weakref.WeakKeyDictionary())
+        # fresh groups, so every search runs: one refine per node (each
+        # root and each individualized child), one _leaf_cert per leaf that
+        # no automorphism check caught
         counts = {"search": 0, "refine": 0, "leaf_cert": 0}
 
         def counted(name, fn):
@@ -623,24 +621,11 @@ class TestSearchWork:
 
 
 class TestOneSearchPerGroup:
-    """A group object's full search is run once and remembered for as long
-    as the group lives; a census then searches each class once."""
+    """A group object's full search is run once and kept on the group; a
+    census then searches each class once."""
 
-    def test_remembered_group_matches_fresh_copy(self, class_reps):
-        rng = random.Random(5)
-        groups = list(class_reps) + list(N7_CODES.values())
-        groups += [apply_lcperm(g, random_lcperm(7, rng)) for g in N7_CODES.values()]
-        for g in groups:
-            class_key(g)  # remembered from here on
-            assert g in canon._searched
-            fresh = _fresh_copy(g)
-            assert class_key(g) == class_key(fresh)
-            assert aut_size(g) == aut_size(fresh)
-            assert automorphisms(g) == automorphisms(fresh)
-            assert canonical_form(g) == graph_form(build_code_graph(fresh))
-
-    def test_census_searches_each_class_once(self, monkeypatch):
-        monkeypatch.setattr(canon, "_searched", weakref.WeakKeyDictionary())
+    @staticmethod
+    def count_searches(monkeypatch):
         searches = []
         search_graph = canon._canonical_search
         monkeypatch.setattr(
@@ -648,6 +633,24 @@ class TestOneSearchPerGroup:
             "_canonical_search",
             lambda gph, known=(): searches.append(1) or search_graph(gph, known),
         )
+        return searches
+
+    def test_remembered_group_matches_fresh_copy(self, class_reps):
+        rng = random.Random(5)
+        groups = list(class_reps) + list(N7_CODES.values())
+        groups += [apply_lcperm(g, random_lcperm(7, rng)) for g in N7_CODES.values()]
+        for g in groups:
+            class_key(g)  # kept from here on
+            assert g._search is not None
+            fresh = _fresh_copy(g)
+            assert fresh._search is None
+            assert class_key(g) == class_key(fresh)
+            assert aut_size(g) == aut_size(fresh)
+            assert automorphisms(g) == automorphisms(fresh)
+            assert canonical_form(g) == graph_form(build_code_graph(fresh))
+
+    def test_census_searches_each_class_once(self, monkeypatch):
+        searches = self.count_searches(monkeypatch)
         candidates = []
         monkeypatch.setattr(
             search,
@@ -659,11 +662,18 @@ class TestOneSearchPerGroup:
         assert len(searches) == len(candidates) == 196
         reps = {id(e.rep) for entries in classes.values() for e in entries}
         assert len(reps) == sum(map(len, records.values())) == 112
-        # every duplicate stopped at its first leaf, and none is remembered
+        # every duplicate stopped at its first leaf, and none keeps a search
         duplicates = [g for g in candidates if id(g) not in reps]
         assert len(duplicates) == 84
-        assert not any(g in canon._searched for g in duplicates)
-        assert len(canon._searched) == 112
-        del classes, records, candidates, duplicates
-        gc.collect()
-        assert len(canon._searched) == 0
+        assert not any(g._search for g in duplicates)
+        assert sum(1 for g in candidates if g._search) == 112
+
+    def test_pickled_level_keeps_its_searches(self, monkeypatch):
+        level = pickle.loads(pickle.dumps(enumerate_classes(5)[(5, 2)]))
+        assert len(level) == 40
+        fresh = [_fresh_copy(e.rep) for e in level]
+        expect = [(automorphisms(g), canonical_form(g)) for g in fresh]
+        searches = self.count_searches(monkeypatch)
+        got = [(automorphisms(e.rep), canonical_form(e.rep)) for e in level]
+        assert searches == []
+        assert got == expect

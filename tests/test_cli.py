@@ -258,6 +258,20 @@ def test_props_css_fallback_answers_false(monkeypatch, capsys):
     assert "is_css: false" in capsys.readouterr().out.splitlines()
 
 
+def test_props_css_trace_condition_answers_false(monkeypatch, capsys):
+    # a random rank-18 group times the [[5,1,3]] code: some maps that keep
+    # every qubit's column span are neither 0 nor the identity, but none
+    # has trace 1 on every plane of the random factor, so past the CSS bound
+    # the fallback still proves there is no CSS form
+    monkeypatch.setattr(properties, "CSS_MAX_NODES", 1000)
+    rows = random_stab_group(18, 18, random.Random(2)).generator_strings()
+    gens = [row + "I" * 5 for row in rows]
+    gens += ["I" * 18 + row for row in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
+    assert properties.css_representative(StabGroup.from_strings(gens)) is None
+    assert main(["props", "--gens", ";".join(gens)]) == 0
+    assert "is_css: false" in capsys.readouterr().out.splitlines()
+
+
 def test_enumerate_above_7_exits_2(tmp_path, capsys):
     out = tmp_path / "DB"
     argv = ["enumerate", "--n", "8", "--out", str(out)]

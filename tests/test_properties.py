@@ -303,8 +303,8 @@ def test_css_representative_absent():
 
 def test_css_search_is_bounded(monkeypatch):
     # the [[5,1,3]] code has no CSS form, so its search runs to exhaustion,
-    # and its maps that keep every qubit's column span form a
-    # 2-dimensional space, so the exact fallback leaves it open
+    # and one of its maps that keep every qubit's column span has trace 1
+    # on every plane, so the exact fallback leaves it open
     monkeypatch.setattr(properties, "CSS_MAX_NODES", 10)
     with pytest.raises(ValueError, match="CSS search over 10 nodes"):
         css_representative(group_from_row(PERFECT_513_ROW))
@@ -332,7 +332,7 @@ def test_css_fallback_agrees_with_search(full_enumeration, monkeypatch):
             continue
         assert got is None and witness is None, g
         decided += 1
-    assert (len(reps), decided) == (640, 60)
+    assert (len(reps), decided) == (640, 135)
 
 
 def test_css_fallback_decides_random_20_qubit_groups(monkeypatch):
