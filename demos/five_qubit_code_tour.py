@@ -26,7 +26,7 @@ from stabdb.search import cws_to_stabilizer, stabilizer_to_cws
 g = StabGroup.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], 5)
 
 print("generators:")
-for row in g.gens.rows:
+for row in g.rows:
     print("  ", format_pauli(row, g.n))
 
 print()
@@ -43,7 +43,7 @@ print("|Aut| =", aut_size(g))
 # 15 of them, which is the whole group minus the identity.  A packed row's
 # support is its X half OR its Z half.
 qubits = (1 << g.n) - 1
-elems = [row for row in span(g.gens.rows) if row]
+elems = [row for row in span(g.rows) if row]
 print("nonidentity elements:", len(elems))
 assert all(((row | row >> g.n) & qubits).bit_count() == 4 for row in elems)
 

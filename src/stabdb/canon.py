@@ -152,7 +152,7 @@ def build_code_graph(g: StabGroup) -> ColoredGraph:
             f"vertex budget exceeded: 2^{r} + 3*{n} vertices > 65535, "
             "the 16-bit limit of leaf certificates"
         )
-    elements = span(g.gens.rows)
+    elements = span(g.rows)
     t = len(elements)
     # corner[j][code]: the corner a letter code 1..3 at qubit j joins; the
     # rows share these int objects, which at rank 15 saves about 11 MB
@@ -550,7 +550,7 @@ def _group_search(g: StabGroup, known=()) -> SearchResult:
     whatever their known keys: its key is the one a search stopped at a
     known key returns.  A stopped search is not kept.  The record is
     shared by every later caller and by every copy of g, so it is all
-    tuples, and it holds only while g is not changed (see StabGroup).
+    tuples, and it stays g's because g's rows are a tuple (see StabGroup).
     """
     if not isinstance(g, StabGroup):
         raise TypeError(f"expected a StabGroup, got {type(g).__name__}")

@@ -91,7 +91,7 @@ def _cmd_props(args) -> int:
         with open(args.infile, encoding="utf-8") as handle:
             text = ";".join(line.strip() for line in handle)
     else:
-        text = args.gens
+        text = args.generators
     g = _parse_gens(text)
     print(f"n: {g.n}")
     print(f"k: {g.k}")
@@ -105,7 +105,7 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_canon(args) -> int:
-    g = _parse_gens(args.gens)
+    g = _parse_gens(args.generators)
     key, aut = canonical_form(g)
     print(f"canonical_key: {key.hex()}")
     print(f"aut_group_size: {aut.size}")
@@ -140,9 +140,9 @@ def _cmd_cws(args) -> int:
         g = cws_to_stabilizer(gs, _parse_bitrows(args.code, gs.n))
         print(";".join(g.generator_strings()))
     else:
-        if args.gens is None:
+        if args.generators is None:
             raise ValueError("--to-cws needs --gens")
-        gs, words = stabilizer_to_cws(_parse_gens(args.gens))
+        gs, words = stabilizer_to_cws(_parse_gens(args.generators))
         print(f"graph: {_format_bitrows(gs.adjacency)}")
         print(f"code: {_format_bitrows(words)}")
     return 0
@@ -176,11 +176,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("props", help="print invariants of a generator list")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--in", dest="infile")
-    group.add_argument("--gens")
+    group.add_argument("--gens", dest="generators")
     p.set_defaults(func=_cmd_props)
 
     p = sub.add_parser("canon", help="print canonical key and |Aut|")
-    p.add_argument("--gens", required=True)
+    p.add_argument("--gens", dest="generators", required=True)
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("query", help="filter database records")
@@ -201,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--to-cws", action="store_true")
     p.add_argument("--graph")
     p.add_argument("--code")
-    p.add_argument("--gens")
+    p.add_argument("--gens", dest="generators")
     p.set_defaults(func=_cmd_cws)
 
     p = sub.add_parser("dist", help="write distance distribution CSV")

@@ -59,10 +59,18 @@ class CodeRecord:
         return StabGroup.from_strings(self.generators, self.n)
 
     def validate(self):
-        """Check types and internal consistency; raises naming the record."""
+        """Check field names, types and internal consistency; raises naming
+        the record.  The attributes may come in any order."""
+        values = vars(self)
         try:
-            values = vars(self)
             if tuple(values) != _FIELD_ORDER or not _schema_typed(values):
+                missing = [name for name in _FIELD_ORDER if name not in values]
+                extra = [name for name in values if name not in _SCHEMA]
+                if missing or extra:
+                    raise ValueError(
+                        f"missing field(s) {', '.join(missing) or 'none'}; "
+                        f"unexpected field(s) {', '.join(extra) or 'none'}"
+                    )
                 _check_types(values)
             try:
                 g = self.group()
@@ -79,8 +87,8 @@ class CodeRecord:
             except ValueError as exc:
                 raise ValueError("bad canonical key") from exc
         except ValueError as exc:
-            where = f"record (n={self.n}, k={self.k}, index={self.index})"
-            raise ValueError(f"{where}: {exc}") from exc
+            n, k, index = map(values.get, ("n", "k", "index"))
+            raise ValueError(f"record (n={n}, k={k}, index={index}): {exc}") from exc
 
     def to_json(self) -> str:
         return json.dumps(
@@ -174,9 +182,9 @@ def record_from_group(g: StabGroup, index: int) -> CodeRecord:
 
 
 def build_records(classes: dict) -> dict:
-    """Map {(n, k): [ClassEntry]} to {(n, k): [CodeRecord]}."""
+    """Map {(n, k): [ClassEntry]} to {(n, k): [CodeRecord]}, indexed by position."""
     return {
-        cell: [record_from_group(e.rep, e.index) for e in entries]
+        cell: [record_from_group(e.rep, index) for index, e in enumerate(entries)]
         for cell, entries in classes.items()
     }
 
@@ -200,14 +208,14 @@ def write_db(records: dict, directory) -> list:
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for cell in sorted(records):
-        cell_records = sorted(records[cell], key=lambda rec: rec.index)
-        for rec in cell_records:
+        for rec in records[cell]:
             rec.validate()
             if (rec.n, rec.k) != cell:
                 raise ValueError(
                     f"record (n={rec.n}, k={rec.k}, index={rec.index}) "
                     f"filed under cell {cell}"
                 )
+        cell_records = sorted(records[cell], key=lambda rec: rec.index)
         path = directory / _cell_name(*cell)
         text = "".join(rec.to_json() + "\n" for rec in cell_records)
         path.write_text(text, encoding="utf-8")

@@ -44,12 +44,8 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols}: [{body}])"
 
 
-def rank(m: BitMatrix) -> int:
-    """GF(2) row rank by elimination on packed rows."""
-    return _rank_of_rows(m.rows)
-
-
-def _rank_of_rows(rows) -> int:
+def rank(rows) -> int:
+    """GF(2) rank of packed rows by elimination (rank(m.rows) for a matrix m)."""
     basis = []  # echelonized rows, each with a distinct lowest set bit
     for v in rows:
         v = reduce_row(basis, v)
@@ -96,7 +92,7 @@ def rref(m: BitMatrix, columns=None):
 def kernel(m: BitMatrix) -> BitMatrix:
     """Basis of the right kernel {x : m @ x = 0} over GF(2).
 
-    The basis has ncols - rank(m) rows.  One basis vector is produced per
+    The basis has ncols - rank(m.rows) rows.  One basis vector is produced per
     non-pivot column c: bit c set, plus bit p_i for every pivot row i whose
     reduced row has bit c set (the unique completion to a kernel vector).
     """

@@ -4,8 +4,8 @@ An n-qubit Pauli (mod the phase subgroup <iI>) is one packed [x|z] int:
 bit j marks X-type support and bit n + j Z-type support on qubit j, and
 the letter on qubit j is I/X/Z/Y for (x_j, z_j) = (0,0)/(1,0)/(0,1)/(1,1).
 The phase-free product of two Paulis is the XOR of their rows.  A
-stabilizer group is held as a rank-r generator matrix of such rows; pairs
-of rows must commute symplectically.
+stabilizer group is held as a tuple of r independent such rows; pairs of
+rows must commute symplectically.
 
 Dropping phases is sound for everything computed in this package: groups
 that differ only by Pauli conjugation (signs) have the same symplectic
@@ -14,7 +14,9 @@ picture, and so the same class identity, distance and flags.
 
 from __future__ import annotations
 
-from .f2core import BitMatrix, _rank_of_rows, kernel, reduce_row, rref
+import operator
+
+from .f2core import BitMatrix, kernel, rank, reduce_row, rref
 
 __all__ = [
     "StabGroup",
@@ -74,26 +76,28 @@ def symplectic_product(a: int, b: int, n: int) -> int:
 class StabGroup:
     """A stabilizer group on n qubits given by a minimal generating set.
 
-    gens holds r = n - k packed [x|z] rows of rank r that pairwise commute.
-    The empty generating set (r = 0, the trivial group {I}) is legal.
+    rows is a tuple of r = n - k packed [x|z] rows, each below 2^(2n), of
+    rank r that pairwise commute; the empty tuple is the trivial group {I}.
     Every group is checked when built, by the library's own builders as
-    for user input: dependent or anticommuting rows raise ValueError.
+    for user input: a row that is no int raises TypeError, and a negative
+    or too wide row, dependent rows or anticommuting rows ValueError.
     The _search slot is None until canon keeps the group's canonical
-    search there, and the search travels with the group when it is copied
-    or pickled.  A group is therefore never changed once built: no code
-    assigns n or gens or alters gens.rows afterwards, and a group that did
-    change would keep the search of its old self.
+    search there, and the search travels with the group when it is
+    copied or pickled.  So a group never changes once built: rows is a
+    tuple copied from the rows given, no code assigns n or rows
+    afterwards, and a changed group would keep its old self's search.
     """
 
-    __slots__ = ("n", "gens", "_search")
+    __slots__ = ("n", "rows", "_search")
 
-    def __init__(self, n: int, gens: BitMatrix):
-        if gens.ncols != 2 * n:
-            raise ValueError("generator matrix must have 2n columns")
-        rows = gens.rows
+    def __init__(self, n: int, rows):
+        rows = tuple(map(operator.index, rows))
+        for row in rows:
+            if row < 0 or row >> (2 * n):
+                raise ValueError(f"row 0x{row:x} does not fit in {2 * n} columns")
         if len(rows) > n:
             raise ValueError("more than n generators cannot be independent and abelian")
-        if _rank_of_rows(rows) != len(rows):
+        if rank(rows) != len(rows):
             raise ValueError("generators are not independent")
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
@@ -102,7 +106,7 @@ class StabGroup:
                         f"generators {i} and {j} anticommute; not a stabilizer group"
                     )
         self.n = n
-        self.gens = gens
+        self.rows = rows
         self._search = None
 
     @classmethod
@@ -114,23 +118,22 @@ class StabGroup:
             if not strings:
                 raise ValueError("cannot infer qubit count from an empty list")
             n = len(strings[0])
-        return cls(n, BitMatrix(2 * n, [parse_pauli(s, n) for s in strings]))
+        return cls(n, [parse_pauli(s, n) for s in strings])
 
     @property
     def r(self) -> int:
-        return len(self.gens.rows)
+        return len(self.rows)
 
     @property
     def k(self) -> int:
         return self.n - self.r
 
     def generator_strings(self) -> list[str]:
-        return [format_pauli(row, self.n) for row in self.gens.rows]
+        return [format_pauli(row, self.n) for row in self.rows]
 
-    def canonical_gens(self) -> BitMatrix:
-        """RREF-canonical generator matrix (basis-independent group id)."""
-        reduced, pivots = rref(self.gens)
-        return BitMatrix(2 * self.n, reduced.rows[: len(pivots)])
+    def canonical_gens(self) -> tuple[int, ...]:
+        """RREF-canonical generator rows (basis-independent group id)."""
+        return tuple(rref(BitMatrix(2 * self.n, self.rows))[0].rows)
 
     def same_group(self, other: "StabGroup") -> bool:
         return self.n == other.n and self.canonical_gens() == other.canonical_gens()
@@ -149,7 +152,7 @@ def centralizer(g: StabGroup) -> BitMatrix:
     """
     n = g.n
     mask = (1 << n) - 1
-    swapped = [((row & mask) << n) | (row >> n) for row in g.gens.rows]
+    swapped = [((row & mask) << n) | (row >> n) for row in g.rows]
     return kernel(BitMatrix(2 * n, swapped))
 
 
@@ -163,7 +166,7 @@ def logical_rows(g: StabGroup) -> list[int]:
     centralizer.
     """
     basis = []
-    for row in g.gens.rows + centralizer(g).rows:
+    for row in [*g.rows, *centralizer(g).rows]:
         res = reduce_row(basis, row)
         if res:
             basis.append(res)

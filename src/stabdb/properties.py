@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2core import BitMatrix, _rank_of_rows, kernel, reduce_row, rref, span
+from .f2core import BitMatrix, kernel, rank, reduce_row, rref, span
 from .pauli import StabGroup, logical_rows
 from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
@@ -160,7 +160,7 @@ def weight_enumerator(g: StabGroup) -> WeightEnum:
             f"weight enumerator over 2^{g.r} elements exceeds the enumeration guard"
         )
     coeffs = [0] * (n + 1)
-    for _, at_least in _weight_slices(g.gens.rows, n):
+    for _, at_least in _weight_slices(g.rows, n):
         for w in range(n + 1):
             coeffs[w] += (at_least[w] ^ at_least[w + 1]).bit_count()
     return WeightEnum(tuple(coeffs))
@@ -189,8 +189,8 @@ def distance(g: StabGroup) -> int:
             f"distance search over 2^{bits} operators exceeds the enumeration guard"
         )
     if g.k == 0:
-        return _least_weight(g.gens.rows, g.n, 1)
-    return _least_weight(g.gens.rows + logical_rows(g), g.n, 1 << g.r)
+        return _least_weight(g.rows, g.n, 1)
+    return _least_weight([*g.rows, *logical_rows(g)], g.n, 1 << g.r)
 
 
 def is_degenerate(g: StabGroup, d: int | None = None, weights=None) -> bool:
@@ -219,7 +219,7 @@ def is_even(g: StabGroup) -> bool:
     """
     n = g.n
     mask = (1 << n) - 1
-    return all(((row | row >> n) & mask).bit_count() % 2 == 0 for row in g.gens.rows)
+    return all(((row | row >> n) & mask).bit_count() % 2 == 0 for row in g.rows)
 
 
 def css_rank_test(g: StabGroup) -> bool:
@@ -231,8 +231,8 @@ def css_rank_test(g: StabGroup) -> bool:
     """
     n = g.n
     mask = (1 << n) - 1
-    x_rank = _rank_of_rows([row & mask for row in g.gens.rows])
-    z_rank = _rank_of_rows([row >> n for row in g.gens.rows])
+    x_rank = rank([row & mask for row in g.rows])
+    z_rank = rank([row >> n for row in g.rows])
     return x_rank + z_rank == g.r
 
 
@@ -265,7 +265,7 @@ def css_representative(g: StabGroup):
     for j in range(n):
         cx = 0
         cz = 0
-        for i, row in enumerate(g.gens.rows):
+        for i, row in enumerate(g.rows):
             cx |= ((row >> j) & 1) << i
             cz |= ((row >> (n + j)) & 1) << i
         cols.append((cx, cz))
@@ -364,7 +364,7 @@ def _css_excluded(cols, r: int) -> bool:
         if len(annihilator) == r - 2:
             trace = entries(dual(cx, cz), cx) ^ entries(dual(cz, cx), cz)
             equations.append(trace | one)
-    return _rank_of_rows(equations) > _rank_of_rows([e & ~one for e in equations])
+    return rank(equations) > rank([e & ~one for e in equations])
 
 
 def gf4_linear_test(g: StabGroup) -> bool:
@@ -395,13 +395,12 @@ def gf4_representative(g: StabGroup):
     n = g.n
     if g.r % 2 == 1 or g.r == 0:
         return None
-    reduced, _ = rref(g.gens)
-    srows = reduced.rows
-    cycled = lcperm_rows(LCPerm(("R",) * n), g.gens.rows)  # X -> Y -> Z -> X
+    srows = g.canonical_gens()
+    cycled = lcperm_rows(LCPerm(("R",) * n), g.rows)  # X -> Y -> Z -> X
     # one equation per generator and residue bit: p_j at bit j, the
     # right-hand side at bit n
     equations = []
-    for row, image in zip(g.gens.rows, cycled):
+    for row, image in zip(g.rows, cycled):
         target = reduce_row(srows, image)
         parts = [
             reduce_row(srows, row & (1 << j | 1 << (n + j)))
@@ -436,7 +435,7 @@ def decompose(g: StabGroup) -> DecompReport:
     """
     n = g.n
     mask = (1 << n) - 1
-    rows = g.canonical_gens().rows
+    rows = g.canonical_gens()
     sups = [((row | (row >> n)) & mask) for row in rows]
     support = 0
     for s in sups:
@@ -465,9 +464,7 @@ def decompose(g: StabGroup) -> DecompReport:
                 fx |= ((rows[i] >> q) & 1) << pos
                 fz |= ((rows[i] >> (n + q)) & 1) << pos
             sub_rows.append(fx | (fz << len(qubits)))
-        factors.append(
-            (qubits, StabGroup(len(qubits), BitMatrix(2 * len(qubits), sub_rows)))
-        )
+        factors.append((qubits, StabGroup(len(qubits), sub_rows)))
     factors.sort(key=lambda f: f[0])
     return DecompReport(trivial, tuple(factors))
 

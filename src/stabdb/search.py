@@ -30,12 +30,12 @@ from .transform import LCPerm, apply_lcperm, lcperm_rows
 
 @dataclass(frozen=True)
 class ClassEntry:
-    """One equivalence class: canonical key, first representative found,
-    and the key's lexicographic rank within its (n, k) cell."""
+    """One equivalence class: canonical key and first representative
+    found.  The class's index is the entry's position in its (n, k) cell,
+    whose entries are in canonical key order."""
 
     key: CanonicalKey
     rep: StabGroup
-    index: int
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,8 @@ class GraphState:
         return len(self.adjacency.rows)
 
     def stabilizer(self) -> StabGroup:
-        n = self.n
-        rows = [(1 << j) | (self.adjacency.rows[j] << n) for j in range(n)]
-        return StabGroup(n, BitMatrix(2 * n, rows))
+        n, rows = self.n, self.adjacency.rows
+        return StabGroup(n, [1 << j | row << n for j, row in enumerate(rows)])
 
 
 def extend_class(
@@ -100,7 +99,7 @@ def extend_class(
         raise ValueError("a group with k = 0 admits no extension")
     n, r, k = rep.n, rep.r, rep.k
     cosets = logical_rows(rep)
-    basis = list(rep.gens.rows) + cosets  # spans the centralizer
+    basis = [*rep.rows, *cosets]  # spans the centralizer
     # an identity block above bit 2n records which basis rows each
     # reduced row sums, so a residue's high bits are its coordinates
     tagged = [v | 1 << (2 * n + i) for i, v in enumerate(basis)]
@@ -163,8 +162,7 @@ def extend_class(
                     orbit.append(v)
         if contains_earlier(elements[c]):
             continue
-        rows = basis[:r] + [elements[c]]
-        out.append(StabGroup(n, BitMatrix(2 * n, rows)))
+        out.append(StabGroup(n, (*rep.rows, elements[c])))
         if orbits is not None:
             orbits.append((position, [elements[u] for u in orbit]))
     return out
@@ -184,7 +182,7 @@ def _transversal(candidates, firsts=None) -> list[ClassEntry]:
             found[key] = cand
         if firsts is not None:
             firsts.append(found[key])
-    return [ClassEntry(key, found[key], i) for i, key in enumerate(sorted(found))]
+    return [ClassEntry(key, found[key]) for key in sorted(found)]
 
 
 def _label_index(parents, level, firsts, orbits) -> tuple:
@@ -197,13 +195,13 @@ def _label_index(parents, level, firsts, orbits) -> tuple:
     position p in level as p * len(parents) + i, so p < q reads as
     label < q * len(parents).
     """
-    position = {id(entry.rep): entry.index for entry in level}
+    position = {id(entry.rep): p for p, entry in enumerate(level)}
     labels = {}
     for rep, (i, rows) in zip(firsts, orbits, strict=True):
         label = position[id(rep)] * len(parents) + i
         for x in rows:
             labels.setdefault(x, []).append(label)
-    return labels, [entry.rep.gens.rows for entry in parents]
+    return labels, [entry.rep.rows for entry in parents]
 
 
 def enumerate_classes(n: int, k_min: int = 0) -> dict:
@@ -222,7 +220,7 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
     if not 0 <= k_min <= n:
         raise ValueError("need 0 <= k_min <= n")
     trivial = StabGroup.from_strings([], n)
-    level = [ClassEntry(class_key(trivial), trivial, 0)]
+    level = [ClassEntry(class_key(trivial), trivial)]
     result = {(n, n): level}
     known = ({}, ())  # the trivial group's level has no index
     for k in range(n - 1, k_min - 1, -1):
@@ -231,8 +229,8 @@ def enumerate_classes(n: int, k_min: int = 0) -> dict:
         parents, level = level, _transversal(
             (
                 cand
-                for entry in level
-                for cand in extend_class(entry.rep, known, entry.index, orbits)
+                for position, entry in enumerate(level)
+                for cand in extend_class(entry.rep, known, position, orbits)
             ),
             firsts,
         )
@@ -268,7 +266,7 @@ def graphstate_orbits(n: int) -> list[GraphState]:
             for nbh in range(1 << (m - 1))  # vertex m - 1's neighbours
         )
         reps = [
-            [row >> m for row in entry.rep.gens.rows]
+            [row >> m for row in entry.rep.rows]
             for entry in _transversal(candidates)
         ]
     return [GraphState(BitMatrix(n, rows)) for rows in reps]
@@ -291,7 +289,7 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
     _, pivots = rref(code)
     if len(pivots) != len(code.rows):
         raise ValueError("code rows must be linearly independent")
-    gens = list(gs.stabilizer().gens.rows)
+    gens = list(gs.stabilizer().rows)
     exps = [1 << j for j in range(n)]  # graph-generator content of each row
     for c in code.rows:
         hot = [i for i in range(len(gens)) if (exps[i] & c).bit_count() & 1]
@@ -300,7 +298,7 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
             gens[i] ^= gens[first]
             exps[i] ^= exps[first]
         del gens[first], exps[first]
-    return StabGroup(n, BitMatrix(2 * n, gens))
+    return StabGroup(n, gens)
 
 
 def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
@@ -352,24 +350,24 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     n = g.n
     mask = (1 << n) - 1
     logical = _lagrangian_firsts(logical_rows(g), n)
-    full = BitMatrix(2 * n, list(g.gens.rows) + logical)
-    _, p_x = rref(full, range(n))
+    full = StabGroup(n, (*g.rows, *logical))
+    _, p_x = rref(BitMatrix(2 * n, full.rows), range(n))
     order = p_x + [j for j in range(n) if j not in p_x]
     relabel_h = LCPerm(
         ["I"] * len(p_x) + ["H"] * (n - len(p_x)),
         [order.index(j) for j in range(n)],
     )
-    h_full = apply_lcperm(StabGroup(n, full), relabel_h)
-    h_rows, _ = rref(h_full.gens, range(n))
-    h_form = StabGroup(n, h_rows)
+    h_full = apply_lcperm(full, relabel_h)
+    h_rows, _ = rref(BitMatrix(2 * n, h_full.rows), range(n))
+    h_form = StabGroup(n, h_rows.rows)
     s_layer = LCPerm(
         ["S" if (row >> (n + j)) & 1 else "I"
-         for j, row in enumerate(h_form.gens.rows)]
+         for j, row in enumerate(h_form.rows)]
     )
     graph = apply_lcperm(h_form, s_layer)
-    gph = GraphState(BitMatrix(n, [row >> n for row in graph.gens.rows]))
+    gph = GraphState(BitMatrix(n, [row >> n for row in graph.rows]))
     image = apply_lcperm(apply_lcperm(g, relabel_h), s_layer)
-    words = kernel(BitMatrix(n, [row & mask for row in image.gens.rows]))
+    words = kernel(BitMatrix(n, [row & mask for row in image.rows]))
     return gph, words
 
 

@@ -22,7 +22,6 @@ with three masks per part.
 
 from __future__ import annotations
 
-from .f2core import BitMatrix
 from .pauli import StabGroup
 
 __all__ = [
@@ -148,5 +147,4 @@ def apply_lcperm(g: StabGroup, a: LCPerm) -> StabGroup:
     the letter permutation a.gates[a.image[j]] to it."""
     if a.n != g.n:
         raise ValueError("qubit counts differ")
-    rows = lcperm_rows(a, g.gens.rows)
-    return StabGroup(g.n, BitMatrix(2 * g.n, rows))
+    return StabGroup(g.n, lcperm_rows(a, g.rows))

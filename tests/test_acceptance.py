@@ -218,7 +218,7 @@ def test_graphstate_orbits_are_the_k0_cell(full_enumeration):
         cell = full_enumeration[n]["classes"][(n, 0)]
         assert [class_key(gs.stabilizer()) for gs in orbits] == [e.key for e in cell]
         for gs in orbits:
-            rows = gs.stabilizer().gens.rows
+            rows = gs.stabilizer().rows
             assert [row & ((1 << n) - 1) for row in rows] == [1 << j for j in range(n)]
             assert [row >> n for row in rows] == gs.adjacency.rows
 
@@ -254,8 +254,8 @@ def test_rank_nullity_and_rref_idempotence():
             ncols, [rng.randrange(1 << ncols) for _ in range(nrows)]
         )
         reduced, pivots = rref(m)
-        assert rank(m) == len(pivots)
-        assert len(kernel(m).rows) == ncols - rank(m)
+        assert rank(m.rows) == len(pivots)
+        assert len(kernel(m).rows) == ncols - rank(m.rows)
         nonzero = [row for row in reduced.rows if row]
         again, pivots2 = rref(BitMatrix(ncols, nonzero))
         assert pivots2 == pivots

@@ -337,24 +337,42 @@ def test_one_comparison_check_agrees_with_field_walk(tmp_path):
         assert str(caught.value) == f"{where}: {want}", label
 
 
-def test_validate_checks_reordered_and_extra_fields():
-    # validate() walks the attributes a record object holds, by name, as the
-    # field walk always did: reordered ones pass, and one outside the schema
-    # raises KeyError
-    _, lines = check_cases()
+def test_validate_checks_reordered_and_extra_fields(tmp_path):
+    # validate() compares the attribute names a record object holds with
+    # the schema as a set: reordered ones pass, and a missing or an extra
+    # one raises ValueError naming the record and each such field, so
+    # write_db refuses the record before it reads a missing field
+    good, lines = check_cases()
     for label, line in lines:
-        if not label.startswith(("swap", "reversed", "extra key")):
+        if not label.startswith(("swap", "reversed", "extra key", "no ")):
             continue
         rec = CodeRecord.__new__(CodeRecord)
         rec.__dict__ = json.loads(line)
-        if label.startswith("extra key"):
-            with pytest.raises(KeyError, match="extra"):
+        if label.startswith(("extra key", "no ")):
+            missing = [f for f in FIELD_ORDER if f not in rec.__dict__]
+            want = "missing field(s) {}; unexpected field(s) {}".format(
+                ", ".join(missing) or "none", "extra" if "extra" in label else "none"
+            )
+            where = "record (n={}, k={}, index={})".format(
+                *map(rec.__dict__.get, ("n", "k", "index"))
+            )
+            with pytest.raises(ValueError) as caught:
                 rec.validate()
+            assert str(caught.value) == f"{where}: {want}", label
+            with pytest.raises(ValueError) as caught:
+                write_db({(2, 0): [rec]}, tmp_path)
+            assert str(caught.value) == f"{where}: {want}", label
         else:
             rec.validate()
             rec.d, rec.is_css = "1", "yes"
             with pytest.raises(ValueError, match=r"index=0\): .* field\(s\) (d, is_css|is_css, d)$"):
                 rec.validate()
+    rec = CodeRecord.__new__(CodeRecord)
+    rec.__dict__ = dict(good, more=1, extra=2)
+    del rec.d, rec.length
+    with pytest.raises(ValueError, match=r"index=0\): missing field\(s\) d, length; "
+                       r"unexpected field\(s\) more, extra$"):
+        rec.validate()
 
 
 def test_database_cells(db3):

@@ -45,16 +45,15 @@ class TestBitMatrix:
 class TestRank:
     def test_dependent_triple(self):
         # 1100, 0110 and their sum 1010 span a 2-dimensional space
-        m = mat(4, bits_to_int("1100"), bits_to_int("0110"), bits_to_int("1010"))
-        assert rank(m) == 2
+        rows = [bits_to_int("1100"), bits_to_int("0110"), bits_to_int("1010")]
+        assert rank(rows) == 2
 
     def test_identity(self):
-        m = mat(3, 0b001, 0b010, 0b100)
-        assert rank(m) == 3
+        assert rank([0b001, 0b010, 0b100]) == 3
 
     def test_zero(self):
-        assert rank(mat(4, 0, 0)) == 0
-        assert rank(BitMatrix(4, [])) == 0
+        assert rank([0, 0]) == 0
+        assert rank([]) == 0
 
 
 class TestRref:
@@ -66,7 +65,7 @@ class TestRref:
         assert reduced.rows[2] == 0
         # transform certifies the reduction
         assert matmul(transform, m) == reduced
-        assert rank(transform) == 3
+        assert rank(transform.rows) == 3
 
     def test_pivot_columns_are_unit(self):
         m = mat(5, 0b10110, 0b01101, 0b11011)
@@ -87,7 +86,7 @@ class TestRref:
             bits_to_int("1010"),
         ]
         assert matmul(transform, m) == reduced
-        assert rank(transform) == 3
+        assert rank(transform.rows) == 3
 
 
 class TestKernel:
@@ -126,7 +125,7 @@ def matrices(draw, max_dim=8):
 @settings(max_examples=200)
 @given(matrices())
 def test_rank_nullity(m):
-    assert rank(m) + kernel(m).nrows == m.ncols
+    assert rank(m.rows) + kernel(m).nrows == m.ncols
 
 
 @settings(max_examples=200)
@@ -136,7 +135,7 @@ def test_rref_idempotent(m):
     again, pivots2 = rref(reduced)
     assert again == reduced
     assert pivots2 == pivots
-    assert len(pivots) == rank(m)
+    assert len(pivots) == rank(m.rows)
 
 
 @settings(max_examples=200)
@@ -145,7 +144,7 @@ def test_rref_transform_invertible(m):
     reduced, pivots, transform = rref_with_transform(m)
     assert (reduced, pivots) == rref(m)
     assert matmul(transform, m) == reduced
-    assert rank(transform) == m.nrows
+    assert rank(transform.rows) == m.nrows
 
 
 @settings(max_examples=200)
@@ -155,7 +154,7 @@ def test_rref_column_order(m, rnd):
     reduced, pivots, transform = rref_with_transform(m, order)
     assert (reduced, pivots) == rref(m, order)
     assert matmul(transform, m) == reduced
-    assert rank(transform) == m.nrows
+    assert rank(transform.rows) == m.nrows
     assert pivots == [c for c in order if c in pivots]
     for i, p in enumerate(pivots):
         col = [(row >> p) & 1 for row in reduced.rows]
@@ -188,7 +187,7 @@ def test_reduce_row_membership(m, data):
         res = reduce_row(basis, row)
         if res:
             basis.append(res)
-    assert len(basis) == rank(m)
+    assert len(basis) == rank(m.rows)
     elements = span(m.rows)
     v = data.draw(st.integers(0, (1 << m.ncols) - 1) | st.sampled_from(elements))
     assert (reduce_row(basis, v) == 0) == (v in elements)

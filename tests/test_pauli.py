@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabdb.f2core import BitMatrix, rank, span
+from stabdb.f2core import rank, span
 from stabdb.pauli import (
     StabGroup,
     centralizer,
@@ -107,9 +107,23 @@ class TestStabGroup:
         with pytest.raises(ValueError, match="generators are not independent"):
             StabGroup.from_strings(["XX", "XX"])
 
-    def test_rejects_wrong_column_count(self):
-        with pytest.raises(ValueError, match="must have 2n columns"):
-            StabGroup(2, BitMatrix(3, [0b1]))
+    def test_rejects_rows_out_of_range(self):
+        # a row of 2n + 1 bits, or a negative one, fits no 2n columns
+        for row in (0b10001, -1):
+            with pytest.raises(ValueError, match="does not fit in 4 columns"):
+                StabGroup(2, [row])
+        # a row is an int: a float or a digit string is not read as one
+        for row in (1.0, "1"):
+            with pytest.raises(TypeError):
+                StabGroup(2, [row])
+
+    def test_rows_are_a_tuple_copied_when_built(self):
+        rows = [parse_pauli("XX"), parse_pauli("ZZ")]
+        g = StabGroup(2, rows)
+        assert type(g.rows) is tuple and g.rows == tuple(rows)
+        rows[0] = parse_pauli("YY")
+        rows.append(parse_pauli("XI"))
+        assert g.generator_strings() == ["XX", "ZZ"]
 
     def test_empty_list_needs_n(self):
         with pytest.raises(ValueError, match="cannot infer qubit count"):
@@ -136,12 +150,12 @@ class TestStabGroup:
 class TestSpan:
     def test_bell_span(self):
         g = StabGroup.from_strings(["XX", "ZZ"])
-        got = {format_pauli(row, 2) for row in span(g.gens.rows)}
+        got = {format_pauli(row, 2) for row in span(g.rows)}
         assert got == {"II", "XX", "ZZ", "YY"}
 
     def test_trivial_span(self):
         g = StabGroup.from_strings([], n=2)
-        assert span(g.gens.rows) == [0]
+        assert span(g.rows) == [0]
 
 
 class TestCentralizer:
@@ -169,7 +183,7 @@ class TestCentralizer:
 
         reduced, pivots = rref(cent)
         rows = reduced.rows[: len(pivots)]
-        for gen in g.gens.rows:
+        for gen in g.rows:
             assert reduce_row(rows, gen) == 0
         # the logical ZZZZZ commutes with all four generators
         assert reduce_row(rows, parse_pauli("ZZZZZ")) == 0
@@ -181,9 +195,9 @@ class TestCentralizer:
         g = StabGroup.from_strings(["XXXX", "ZZZZ"])
         logical = logical_rows(g)
         assert len(logical) == 2 * g.k
-        assert rank(BitMatrix(2 * g.n, list(g.gens.rows) + logical)) == g.n + g.k
+        assert rank([*g.rows, *logical]) == g.n + g.k
         for row in logical:
-            assert not any(symplectic_product(row, s, g.n) for s in g.gens.rows)
+            assert not any(symplectic_product(row, s, g.n) for s in g.rows)
         assert logical_rows(StabGroup.from_strings(["XX", "ZZ"])) == []
 
     def test_trivial_group(self):

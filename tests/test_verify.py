@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from stabdb.canon import aut_size
-from stabdb.f2core import _rank_of_rows
+from stabdb.f2core import rank
 from stabdb.pauli import StabGroup, symplectic_product
 from stabdb.search import _rref_matrices, enumerate_classes
 from stabdb.verify import gaussian_coeff, lcperm_order, mass_check, nlp_count
@@ -54,7 +54,7 @@ def _brute_group_count(n, r):
     rows = list(range(1, 1 << (2 * n)))
     spans = set()
     for combo in itertools.combinations(rows, r):
-        if _rank_of_rows(list(combo)) != r:
+        if rank(combo) != r:
             continue
         if any(
             symplectic_product(a, b, n)

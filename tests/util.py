@@ -19,15 +19,15 @@ def random_stab_group(n: int, r: int, rng) -> StabGroup:
     depend would give the same distribution in about 2^m draws a row.
     """
     assert 0 <= r <= n
-    g = StabGroup(n, BitMatrix(2 * n))
+    g = StabGroup(n, ())
     while g.r < r:
         basis = centralizer(g).rows
         cand = 0
         for row in basis:
             if rng.getrandbits(1):
                 cand ^= row
-        if rank(BitMatrix(2 * n, g.gens.rows + [cand])) > g.r:
-            g = StabGroup(n, BitMatrix(2 * n, g.gens.rows + [cand]))
+        if rank((*g.rows, cand)) > g.r:
+            g = StabGroup(n, (*g.rows, cand))
     return g
 
 
@@ -84,8 +84,8 @@ def packed_weight(row: int, n: int) -> int:
 def brute_distance(g: StabGroup) -> int:
     """Distance by scanning every packed Pauli row (exponential oracle)."""
     n = g.n
-    elements = set(span(g.gens.rows))
-    gens = g.gens.rows
+    elements = set(span(g.rows))
+    gens = g.rows
     if g.r == 0:
         return 1
     if g.k == 0:
@@ -109,7 +109,7 @@ def coset_distance(g: StabGroup) -> int:
     n = g.n
     if g.r == 0:
         return 1
-    elements = span(g.gens.rows)
+    elements = span(g.rows)
     if g.k == 0:
         return min(packed_weight(row, n) for row in elements if row)
     logicals = logical_rows(g)
@@ -124,15 +124,15 @@ def coset_distance(g: StabGroup) -> int:
 def span_weight_enumerator(g: StabGroup) -> tuple:
     """coeffs[w] by weighing each of the 2^r span elements."""
     coeffs = [0] * (g.n + 1)
-    for row in span(g.gens.rows):
+    for row in span(g.rows):
         coeffs[packed_weight(row, g.n)] += 1
     return tuple(coeffs)
 
 
 def span_is_even(g: StabGroup) -> bool:
     """Whether the even-weight span elements have the group's rank."""
-    even = [row for row in span(g.gens.rows) if packed_weight(row, g.n) % 2 == 0]
-    return rank(BitMatrix(2 * g.n, even)) == g.r
+    even = [row for row in span(g.rows) if packed_weight(row, g.n) % 2 == 0]
+    return rank(even) == g.r
 
 
 def reembed(report, n: int) -> StabGroup:
@@ -140,13 +140,13 @@ def reembed(report, n: int) -> StabGroup:
     rows = []
     for qubits, factor in report.factors:
         m = factor.n
-        for row in factor.gens.rows:
+        for row in factor.rows:
             full = 0
             for pos, q in enumerate(qubits):
                 full |= ((row >> pos) & 1) << q
                 full |= ((row >> (m + pos)) & 1) << (n + q)
             rows.append(full)
-    return StabGroup(n, BitMatrix(2 * n, rows))
+    return StabGroup(n, rows)
 
 
 def brute_split(g: StabGroup) -> tuple:
@@ -158,7 +158,7 @@ def brute_split(g: StabGroup) -> tuple:
     is the intersection of the splitting sides that hold it.
     """
     n = g.n
-    rows = g.gens.rows
+    rows = g.rows
     support = 0
     for row in rows:
         support |= (row | (row >> n)) & ((1 << n) - 1)
@@ -166,7 +166,7 @@ def brute_split(g: StabGroup) -> tuple:
 
     def rank_on(qubits):
         both = qubits | (qubits << n)
-        return rank(BitMatrix(2 * n, [row & both for row in rows]))
+        return rank([row & both for row in rows])
 
     sides = []
     for bits in range(1 << len(supported)):
@@ -191,11 +191,11 @@ def brute_gf4_representative(g: StabGroup):
     if g.r % 2 == 1 or g.r == 0:
         return None
     mask = (1 << n) - 1
-    reduced, _ = rref(g.gens)
+    reduced, _ = rref(BitMatrix(2 * n, g.rows))
     for pattern in itertools.product((0, 1), repeat=n):
         m_inv = sum(1 << j for j, p in enumerate(pattern) if p)
         m_cycle = mask ^ m_inv
-        for row in g.gens.rows:
+        for row in g.rows:
             x = row & mask
             z = row >> n
             nx = ((x ^ z) & m_cycle) | (z & m_inv)
