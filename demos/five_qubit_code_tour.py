@@ -53,9 +53,9 @@ assert all(((row | row >> g.n) & qubits).bit_count() == 4 for row in elems)
 gs, words = stabilizer_to_cws(g)
 print()
 print("graph adjacency rows:")
-for row in gs.adjacency.rows:
+for row in gs.adjacency:
     print("  ", format(row, f"0{g.n}b")[::-1])
-print("classical generator rows:", [format(r, f"0{g.n}b")[::-1] for r in words.rows])
+print("classical generator rows:", [format(r, f"0{g.n}b")[::-1] for r in words])
 
 # converting back lands in the same equivalence class
 h = cws_to_stabilizer(gs, words)

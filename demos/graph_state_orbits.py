@@ -40,7 +40,7 @@ assert keys == expect
 
 # the n = 5 orbit representatives, one adjacency per line (rows joined
 # by commas), sorted by edge count: from the empty graph to dense ones
-for gs in sorted(orbits, key=lambda gs: sum(r.bit_count() for r in gs.adjacency.rows)):
-    rows = ",".join(format(r, "05b")[::-1] for r in gs.adjacency.rows)
-    edges = sum(r.bit_count() for r in gs.adjacency.rows) // 2
+for gs in sorted(orbits, key=lambda gs: sum(r.bit_count() for r in gs.adjacency)):
+    rows = ",".join(format(r, "05b")[::-1] for r in gs.adjacency)
+    edges = sum(r.bit_count() for r in gs.adjacency) // 2
     print(f"  {edges:2d} edges  {rows}")

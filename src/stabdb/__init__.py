@@ -19,13 +19,12 @@ verify      exact mass-formula certification of class counts
 db          JSONL record store with query and distribution helpers
 """
 
-from .f2core import BitMatrix, kernel, rank, rref
+from .f2core import kernel, rank, rref
 from .pauli import StabGroup, centralizer, format_pauli, parse_pauli, symplectic_product
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitMatrix",
     "kernel",
     "rank",
     "rref",

@@ -20,7 +20,6 @@ from .db import (
     query,
     write_db,
 )
-from .f2core import BitMatrix
 from .pauli import StabGroup
 from .properties import WeightEnum
 from .search import (
@@ -37,22 +36,16 @@ def _parse_gens(text: str, n=None) -> StabGroup:
     return StabGroup.from_strings(strings, n)
 
 
-def _parse_bitrows(text: str, n: int) -> BitMatrix:
-    rows = []
-    for part in text.split(";"):
-        if not part:
-            continue
+def _parse_bitrows(text: str, n: int) -> list[int]:
+    parts = [part for part in text.split(";") if part]
+    for part in parts:
         if len(part) != n or set(part) - {"0", "1"}:
             raise ValueError(f"bad 0/1 row of length {n}: {part!r}")
-        rows.append(sum(1 << j for j, c in enumerate(part) if c == "1"))
-    return BitMatrix(n, rows)
+    return [int(part[::-1], 2) for part in parts]
 
 
-def _format_bitrows(m: BitMatrix) -> str:
-    return ";".join(
-        "".join("1" if (row >> j) & 1 else "0" for j in range(m.ncols))
-        for row in m.rows
-    )
+def _format_bitrows(rows, n: int) -> str:
+    return ";".join(format(row, f"0{n}b")[::-1] for row in rows)
 
 
 def _cmd_enumerate(args) -> int:
@@ -135,16 +128,15 @@ def _cmd_cws(args) -> int:
         n = sum(1 for part in args.graph.split(";") if part)
         if n == 0:
             raise ValueError("cannot infer qubit count from an empty --graph")
-        adjacency = _parse_bitrows(args.graph, n)
-        gs = GraphState(adjacency)
-        g = cws_to_stabilizer(gs, _parse_bitrows(args.code, gs.n))
+        gs = GraphState(_parse_bitrows(args.graph, n))
+        g = cws_to_stabilizer(gs, _parse_bitrows(args.code, n))
         print(";".join(g.generator_strings()))
     else:
         if args.generators is None:
             raise ValueError("--to-cws needs --gens")
         gs, words = stabilizer_to_cws(_parse_gens(args.generators))
-        print(f"graph: {_format_bitrows(gs.adjacency)}")
-        print(f"code: {_format_bitrows(words)}")
+        print(f"graph: {_format_bitrows(gs.adjacency, gs.n)}")
+        print(f"code: {_format_bitrows(words, gs.n)}")
     return 0
 
 

@@ -1,51 +1,33 @@
 """Bit-packed linear algebra over GF(2).
 
 Vectors and matrix rows are stored as Python integers, one bit per column
-with column j at bit j (little-endian within a row).
+with column j at bit j (little-endian within a row).  A matrix is a
+sequence of such rows; where its width matters, the caller passes it.
 """
 
 from __future__ import annotations
 
-__all__ = ["BitMatrix", "rank", "rref", "kernel", "reduce_row", "span"]
+import operator
+
+__all__ = ["as_rows", "rank", "rref", "kernel", "reduce_row", "span"]
 
 
-class BitMatrix:
-    """A rectangular matrix over GF(2) with int-packed rows.
+def as_rows(rows, ncols: int) -> tuple[int, ...]:
+    """The rows as a tuple of ints that fit ncols columns.
 
-    ``rows`` is a list of ints; bit j of row i is entry (i, j).  Zero-row
-    matrices are allowed (a basis of the empty space).
+    Each row is read with operator.index, so a row that is no int raises
+    TypeError; a negative row or one with a bit at or above ncols raises
+    ValueError.
     """
-
-    __slots__ = ("ncols", "rows")
-
-    def __init__(self, ncols: int, rows=()):
-        self.ncols = ncols
-        self.rows = [int(r) for r in rows]
-        for r in self.rows:
-            if r < 0 or r >> ncols:
-                raise ValueError(f"row 0x{r:x} does not fit in {ncols} columns")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, tuple(self.rows)))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{r:0{self.ncols}b}"[::-1] for r in self.rows)
-        return f"BitMatrix({self.nrows}x{self.ncols}: [{body}])"
+    rows = tuple(map(operator.index, rows))
+    for r in rows:
+        if r < 0 or r >> ncols:
+            raise ValueError(f"row 0x{r:x} does not fit in {ncols} columns")
+    return rows
 
 
 def rank(rows) -> int:
-    """GF(2) rank of packed rows by elimination (rank(m.rows) for a matrix m)."""
+    """GF(2) rank of packed rows by elimination."""
     basis = []  # echelonized rows, each with a distinct lowest set bit
     for v in rows:
         v = reduce_row(basis, v)
@@ -54,23 +36,23 @@ def rank(rows) -> int:
     return len(basis)
 
 
-def rref(m: BitMatrix, columns=None):
-    """Reduced row-echelon form.
+def rref(rows, columns):
+    """Reduced row-echelon form of packed rows.
 
-    Returns ``(reduced, pivots)``; rows without a pivot sit at the bottom
-    of ``reduced``.  Pivots are sought along ``columns``, by default every
-    column left to right; rows are eliminated in full, but an unlisted
+    Returns ``(reduced, pivots)``, ``reduced`` a tuple of rows; rows
+    without a pivot sit at the bottom.  Pivots are sought along
+    ``columns`` in order; rows are eliminated in full, but an unlisted
     column never pivots.  ``pivots`` lists the pivot columns in that order,
     each taking the topmost candidate row, so the output is deterministic.
     A caller that needs the row transform appends an identity block above
     the last column and lists only the original columns: the block then
     records which input rows make up each reduced row.
     """
-    rows = list(m.rows)
+    rows = list(rows)
     nr = len(rows)
     pivots = []
     r = 0
-    for c in range(m.ncols) if columns is None else columns:
+    for c in columns:
         pivot_row = None
         for i in range(r, nr):
             if (rows[i] >> c) & 1:
@@ -86,36 +68,37 @@ def rref(m: BitMatrix, columns=None):
         r += 1
         if r == nr:
             break
-    return BitMatrix(m.ncols, rows), pivots
+    return tuple(rows), pivots
 
 
-def kernel(m: BitMatrix) -> BitMatrix:
-    """Basis of the right kernel {x : m @ x = 0} over GF(2).
+def kernel(rows, ncols: int) -> tuple[int, ...]:
+    """Basis of the right kernel {x : rows @ x = 0} of ncols-wide rows.
 
-    The basis has ncols - rank(m.rows) rows.  One basis vector is produced per
-    non-pivot column c: bit c set, plus bit p_i for every pivot row i whose
-    reduced row has bit c set (the unique completion to a kernel vector).
+    The rows are read by as_rows.  The basis has ncols - rank(rows) rows.
+    One basis vector is produced per non-pivot column c: bit c set, plus
+    bit p_i for every pivot row i whose reduced row has bit c set (the
+    unique completion to a kernel vector).
     """
-    reduced, pivots = rref(m)
+    reduced, pivots = rref(as_rows(rows, ncols), range(ncols))
     in_pivots = set(pivots)
     basis = []
-    for c in range(m.ncols):
+    for c in range(ncols):
         if c in in_pivots:
             continue
         v = 1 << c
         for i, p in enumerate(pivots):
-            if (reduced.rows[i] >> c) & 1:
+            if (reduced[i] >> c) & 1:
                 v |= 1 << p
         basis.append(v)
-    return BitMatrix(m.ncols, basis)
+    return tuple(basis)
 
 
 def reduce_row(basis, v: int) -> int:
     """Reduce packed row v against an echelon basis.
 
     Each basis row is eliminated at its lowest set bit, which no later row
-    may have set.  The nonzero rows of an RREF in the default column order
-    meet this, and so does a basis built one row at a time by appending
+    may have set.  The nonzero rows of an RREF with columns taken left to
+    right meet this, and so does a basis built one row at a time by appending
     each nonzero residue.  The residue is 0 exactly when v lies in the row
     space, and it does not depend on which such basis spans that space.
     """

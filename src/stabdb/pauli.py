@@ -14,9 +14,7 @@ picture, and so the same class identity, distance and flags.
 
 from __future__ import annotations
 
-import operator
-
-from .f2core import BitMatrix, kernel, rank, reduce_row, rref
+from .f2core import as_rows, kernel, rank, reduce_row, rref
 
 __all__ = [
     "StabGroup",
@@ -91,10 +89,7 @@ class StabGroup:
     __slots__ = ("n", "rows", "_search")
 
     def __init__(self, n: int, rows):
-        rows = tuple(map(operator.index, rows))
-        for row in rows:
-            if row < 0 or row >> (2 * n):
-                raise ValueError(f"row 0x{row:x} does not fit in {2 * n} columns")
+        rows = as_rows(rows, 2 * n)
         if len(rows) > n:
             raise ValueError("more than n generators cannot be independent and abelian")
         if rank(rows) != len(rows):
@@ -133,7 +128,7 @@ class StabGroup:
 
     def canonical_gens(self) -> tuple[int, ...]:
         """RREF-canonical generator rows (basis-independent group id)."""
-        return tuple(rref(BitMatrix(2 * self.n, self.rows))[0].rows)
+        return rref(self.rows, range(2 * self.n))[0]
 
     def same_group(self, other: "StabGroup") -> bool:
         return self.n == other.n and self.canonical_gens() == other.canonical_gens()
@@ -142,7 +137,7 @@ class StabGroup:
         return f"StabGroup(n={self.n}, <{', '.join(self.generator_strings())}>)"
 
 
-def centralizer(g: StabGroup) -> BitMatrix:
+def centralizer(g: StabGroup) -> tuple[int, ...]:
     """Basis of every phase-free Pauli commuting with all generators.
 
     A packed row p commutes with generator s iff the symplectic form
@@ -153,7 +148,7 @@ def centralizer(g: StabGroup) -> BitMatrix:
     n = g.n
     mask = (1 << n) - 1
     swapped = [((row & mask) << n) | (row >> n) for row in g.rows]
-    return kernel(BitMatrix(2 * n, swapped))
+    return kernel(swapped, 2 * n)
 
 
 def logical_rows(g: StabGroup) -> list[int]:
@@ -166,7 +161,7 @@ def logical_rows(g: StabGroup) -> list[int]:
     centralizer.
     """
     basis = []
-    for row in [*g.rows, *centralizer(g).rows]:
+    for row in [*g.rows, *centralizer(g)]:
         res = reduce_row(basis, row)
         if res:
             basis.append(res)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2core import BitMatrix, kernel, rank, reduce_row, rref, span
+from .f2core import kernel, rank, reduce_row, rref, span
 from .pauli import StabGroup, logical_rows
 from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
@@ -352,12 +352,12 @@ def _css_excluded(cols, r: int) -> bool:
         return sum(w << (a * r) for a in range(r) if f >> a & 1)
 
     def dual(w, other):  # a functional that is 1 on w and 0 on other
-        zero_on_other = kernel(BitMatrix(r, [other])).rows
+        zero_on_other = kernel([other], r)
         return next(f for f in zero_on_other if (f & w).bit_count() & 1)
 
     equations = []
     for cx, cz in cols:
-        annihilator = kernel(BitMatrix(r, [cx, cz])).rows
+        annihilator = kernel([cx, cz], r)
         for f in annihilator:
             for w in (cx, cz):  # a zero or repeated w adds nothing
                 equations.append(entries(f, w))
@@ -414,11 +414,11 @@ def gf4_representative(g: StabGroup):
                 equations.append(eq)
     # Pivots taken from the last qubit down leave each kernel vector's
     # lowest bit free, so the solution with every free bit 0 is the first.
-    solved, p_pivots = rref(BitMatrix(n + 1, equations), range(n - 1, -1, -1))
-    if any(solved.rows[len(p_pivots):]):
+    solved, p_pivots = rref(equations, range(n - 1, -1, -1))
+    if any(solved[len(p_pivots):]):
         return None
     pattern = [0] * n
-    for row, j in zip(solved.rows, p_pivots):
+    for row, j in zip(solved, p_pivots):
         pattern[j] = row >> n
     return LCPerm(pattern)
 

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from .canon import CanonicalKey, automorphisms, class_key
-from .f2core import BitMatrix, kernel, reduce_row, rref, span
+from .f2core import as_rows, kernel, rank, reduce_row, rref, span
 from .pauli import StabGroup, logical_rows, symplectic_product
 from .transform import LCPerm, apply_lcperm, lcperm_rows
 
@@ -41,28 +41,30 @@ class ClassEntry:
 @dataclass(frozen=True)
 class GraphState:
     """A simple graph on n vertices standing for the stabilizer group
-    generated by g_j = X_j prod_{i ~ j} Z_i."""
+    generated by g_j = X_j prod_{i ~ j} Z_i.
 
-    adjacency: BitMatrix
+    adjacency holds n packed rows, bit i of row j set when i ~ j, read by
+    f2core.as_rows with width n; a loop or a one-sided edge raises
+    ValueError."""
+
+    adjacency: tuple[int, ...]
 
     def __post_init__(self):
-        rows = self.adjacency.rows
-        n = len(rows)
-        if self.adjacency.ncols != n:
-            raise ValueError("adjacency matrix must be square")
+        rows = as_rows(self.adjacency, len(self.adjacency))
+        object.__setattr__(self, "adjacency", rows)
         for i, row in enumerate(rows):
             if (row >> i) & 1:
                 raise ValueError("adjacency diagonal must be zero")
-            for j in range(i + 1, n):
+            for j in range(i + 1, len(rows)):
                 if ((row >> j) & 1) != ((rows[j] >> i) & 1):
                     raise ValueError("adjacency matrix must be symmetric")
 
     @property
     def n(self) -> int:
-        return len(self.adjacency.rows)
+        return len(self.adjacency)
 
     def stabilizer(self) -> StabGroup:
-        n, rows = self.n, self.adjacency.rows
+        n, rows = self.n, self.adjacency
         return StabGroup(n, [1 << j | row << n for j, row in enumerate(rows)])
 
 
@@ -103,11 +105,11 @@ def extend_class(
     # an identity block above bit 2n records which basis rows each
     # reduced row sums, so a residue's high bits are its coordinates
     tagged = [v | 1 << (2 * n + i) for i, v in enumerate(basis)]
-    reduced, _ = rref(BitMatrix(2 * n + len(basis), tagged), range(2 * n))
+    reduced, _ = rref(tagged, range(2 * n))
     mask = (1 << 2 * n) - 1
 
     def coordinates(v):
-        v = reduce_row(reduced.rows, v)
+        v = reduce_row(reduced, v)
         if v & mask:
             raise AssertionError(
                 "internal error: automorphism image leaves the centralizer"
@@ -259,9 +261,9 @@ def graphstate_orbits(n: int) -> list[GraphState]:
     reps = [[]]  # adjacency rows of the graph on no vertices
     for m in range(1, n + 1):
         candidates = (
-            GraphState(BitMatrix(m, [
+            GraphState([
                 row | ((nbh >> i) & 1) << (m - 1) for i, row in enumerate(rows)
-            ] + [nbh])).stabilizer()
+            ] + [nbh]).stabilizer()
             for rows in reps
             for nbh in range(1 << (m - 1))  # vertex m - 1's neighbours
         )
@@ -269,10 +271,10 @@ def graphstate_orbits(n: int) -> list[GraphState]:
             [row >> m for row in entry.rep.rows]
             for entry in _transversal(candidates)
         ]
-    return [GraphState(BitMatrix(n, rows)) for rows in reps]
+    return [GraphState(rows) for rows in reps]
 
 
-def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
+def cws_to_stabilizer(gs: GraphState, code) -> StabGroup:
     """Stabilizer of the codeword-stabilized pair (graph, linear code).
 
     The group is the commutant of the word operators {Z^c} inside the
@@ -282,16 +284,15 @@ def cws_to_stabilizer(gs: GraphState, code: BitMatrix) -> StabGroup:
     are checked independent, some generator is always odd: the exponents
     left after folding rows c_1..c_m span exactly the vectors orthogonal
     to those rows, and one of them meets an independent c_(m+1) oddly.
+    The code rows are read by f2core.as_rows with width gs.n.
     """
     n = gs.n
-    if code.ncols != n:
-        raise ValueError("code length must match the qubit count")
-    _, pivots = rref(code)
-    if len(pivots) != len(code.rows):
+    code = as_rows(code, n)
+    if rank(code) != len(code):
         raise ValueError("code rows must be linearly independent")
     gens = list(gs.stabilizer().rows)
     exps = [1 << j for j in range(n)]  # graph-generator content of each row
-    for c in code.rows:
+    for c in code:
         hot = [i for i in range(len(gens)) if (exps[i] & c).bit_count() & 1]
         first = hot[0]
         for i in hot[1:]:
@@ -330,7 +331,8 @@ def _lagrangian_firsts(rows: list[int], n: int) -> list[int]:
 
 
 def stabilizer_to_cws(g: StabGroup) -> tuple:
-    """Graph state and word matrix reproducing the group's class.
+    """Graph state and word rows reproducing the group's class: a
+    (GraphState, words) pair, words a tuple of k n-bit rows.
 
     The group is completed to a maximal group with k pairwise commuting
     centralizer representatives.  Its X part has rank r, so the qubits are
@@ -351,23 +353,23 @@ def stabilizer_to_cws(g: StabGroup) -> tuple:
     mask = (1 << n) - 1
     logical = _lagrangian_firsts(logical_rows(g), n)
     full = StabGroup(n, (*g.rows, *logical))
-    _, p_x = rref(BitMatrix(2 * n, full.rows), range(n))
+    _, p_x = rref(full.rows, range(n))
     order = p_x + [j for j in range(n) if j not in p_x]
     relabel_h = LCPerm(
         ["I"] * len(p_x) + ["H"] * (n - len(p_x)),
         [order.index(j) for j in range(n)],
     )
     h_full = apply_lcperm(full, relabel_h)
-    h_rows, _ = rref(BitMatrix(2 * n, h_full.rows), range(n))
-    h_form = StabGroup(n, h_rows.rows)
+    h_rows, _ = rref(h_full.rows, range(n))
+    h_form = StabGroup(n, h_rows)
     s_layer = LCPerm(
         ["S" if (row >> (n + j)) & 1 else "I"
          for j, row in enumerate(h_form.rows)]
     )
     graph = apply_lcperm(h_form, s_layer)
-    gph = GraphState(BitMatrix(n, [row >> n for row in graph.rows]))
+    gph = GraphState([row >> n for row in graph.rows])
     image = apply_lcperm(apply_lcperm(g, relabel_h), s_layer)
-    words = kernel(BitMatrix(n, [row & mask for row in image.rows]))
+    words = kernel([row & mask for row in image.rows], n)
     return gph, words
 
 
@@ -390,9 +392,10 @@ def cws_enumerate(n: int) -> dict:
 
 
 def _rref_matrices(n: int, k: int):
-    """All full-rank k x n matrices in reduced row echelon form."""
+    """All full-rank k x n matrices in reduced row echelon form, each a
+    tuple of k rows."""
     if k == 0:
-        yield BitMatrix(n, [])
+        yield ()
         return
     for pivots in itertools.combinations(range(n), k):
         free = [
@@ -410,4 +413,4 @@ def _rref_matrices(n: int, k: int):
                         row |= 1 << c
                     pos += 1
                 rows.append(row)
-            yield BitMatrix(n, rows)
+            yield tuple(rows)

@@ -22,6 +22,8 @@ with three masks per part.
 
 from __future__ import annotations
 
+import operator
+
 from .pauli import StabGroup
 
 __all__ = [
@@ -71,9 +73,9 @@ class LCPerm:
     """One element of the symmetry group: a qubit permutation, then one
     letter permutation per qubit.
 
-    image[j] is where qubit j goes (the identity when omitted); gates[m]
-    indexes LETTER_PERMS, by name or index, and acts on the letter that
-    lands at position m.
+    image[j] is where qubit j goes (the identity when omitted), read with
+    operator.index; gates[m] indexes LETTER_PERMS, by name or index, and
+    acts on the letter that lands at position m.
     """
 
     __slots__ = ("gates", "image")
@@ -81,7 +83,7 @@ class LCPerm:
     def __init__(self, gates, image=None):
         self.gates = tuple(_as_letter_index(g) for g in gates)
         n = len(self.gates)
-        self.image = tuple(range(n)) if image is None else tuple(int(v) for v in image)
+        self.image = tuple(range(n) if image is None else map(operator.index, image))
         if sorted(self.image) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.image}")
 

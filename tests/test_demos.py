@@ -35,6 +35,28 @@ round trip equivalent: True
 same canonical key: True
 """
 
+GRAPH_STATE_ORBITS = """\
+n=1: 1 graph orbits from 1 x 1 candidates
+n=2: 2 graph orbits from 1 x 2 candidates
+n=3: 3 graph orbits from 2 x 4 candidates
+n=4: 6 graph orbits from 3 x 8 candidates
+n=5: 11 graph orbits from 6 x 16 candidates
+n=6: 26 graph orbits from 11 x 32 candidates
+
+n=5: orbit keys == class keys: True
+   0 edges  00000,00000,00000,00000,00000
+   1 edges  00001,00000,00000,00000,10000
+   2 edges  01000,10000,00010,00100,00000
+   2 edges  01100,10000,10000,00000,00000
+   3 edges  01001,10000,00010,00100,10000
+   3 edges  01100,10010,10000,01000,00000
+   3 edges  01110,10000,10000,10000,00000
+   4 edges  01111,10000,10000,10000,10000
+   4 edges  01001,10000,00011,00100,10100
+   4 edges  01101,10010,10000,01000,10000
+   5 edges  01100,10010,10001,01001,00110
+"""
+
 
 def test_demos_run_and_clean_up(tmp_path):
     demos = sorted((REPO / "demos").glob("*.py"))
@@ -62,5 +84,7 @@ def test_demos_run_and_clean_up(tmp_path):
         assert proc.returncode == 0, (demo.name, proc.stderr)
         if demo.name == "five_qubit_code_tour.py":
             assert proc.stdout == FIVE_QUBIT_TOUR
+        if demo.name == "graph_state_orbits.py":
+            assert proc.stdout == GRAPH_STATE_ORBITS
     # query_database.py writes its database under TMPDIR and removes it
     assert not list(tmp_path.glob("stabdb_demo_*"))

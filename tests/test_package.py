@@ -44,5 +44,5 @@ def test_readme_library_block():
     assert sorted(classes) == [(4, k) for k in range(5)]
     assert all(isinstance(e, ClassEntry) for v in classes.values() for e in v)
     cycle = [(1 << (j + 1) % 5) | (1 << (j - 1) % 5) for j in range(5)]
-    assert namespace["graph"].adjacency.rows == cycle
-    assert namespace["words"].rows == [0b11111]  # spans {00000, 11111}
+    assert namespace["graph"].adjacency == tuple(cycle)
+    assert namespace["words"] == (0b11111,)  # spans {00000, 11111}

@@ -11,7 +11,7 @@ import pytest
 
 from stabdb import properties
 from stabdb.canon import aut_size, class_key
-from stabdb.f2core import BitMatrix, span
+from stabdb.f2core import span
 from stabdb.pauli import StabGroup, parse_pauli, symplectic_product
 from stabdb.properties import (
     WeightEnum,
@@ -196,7 +196,7 @@ def test_weight_kernel_at_its_bound():
         if rng.random() < 0.5:
             adjacency[i] |= 1 << j
             adjacency[j] |= 1 << i
-    graph = GraphState(BitMatrix(n, adjacency)).stabilizer()
+    graph = GraphState(adjacency).stabilizer()
     g = apply_lcperm(graph, random_lcperm(n, rng))
     assert g.r == 24
     coeffs = weight_enumerator(g).coeffs

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from stabdb.canon import class_key
-from stabdb.f2core import BitMatrix, span
+from stabdb.f2core import span
 from stabdb import search
 from stabdb.pauli import StabGroup, logical_rows
 from stabdb.properties import decompose
@@ -211,7 +211,7 @@ def test_graphstate_orbit_counts():
     for n, want in GRAPH_ORBIT_COUNTS.items():
         assert len(graphstate_orbits(n)) == want
     # the graph on no vertices: its group is the one class at n = 0
-    assert graphstate_orbits(0) == [GraphState(BitMatrix(0, []))]
+    assert graphstate_orbits(0) == [GraphState(())]
     with pytest.raises(ValueError, match="need n >= 0"):
         graphstate_orbits(-1)
 
@@ -230,52 +230,67 @@ def test_graphstate_orbits_match_group_classes():
                 if (code >> t) & 1:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-            gs = GraphState(BitMatrix(n, rows))
+            gs = GraphState(rows)
             all_keys.add(class_key(gs.stabilizer()))
         assert all_keys == rep_keys
 
 
 def test_graphstate_validation():
     with pytest.raises(ValueError, match="must be symmetric"):
-        GraphState(BitMatrix(2, [0b10, 0b00]))
+        GraphState((0b10, 0b00))
     with pytest.raises(ValueError, match="diagonal must be zero"):
-        GraphState(BitMatrix(2, [0b01, 0b10]))
-    with pytest.raises(ValueError, match="must be square"):
-        GraphState(BitMatrix(3, [0b010, 0b001]))
+        GraphState((0b01, 0b10))
+    # the width is the row count: a row of n or more bits, or a negative
+    # row, does not fit
+    with pytest.raises(ValueError, match="does not fit in 2 columns"):
+        GraphState((0b010, 0b101))
+    with pytest.raises(ValueError, match="does not fit"):
+        GraphState((-1, 0))
+    # rows are read as ints, never coerced
+    with pytest.raises(TypeError):
+        GraphState(("2", 1))
+    with pytest.raises(TypeError):
+        GraphState((1.5, 0))
+    assert GraphState([0b10, 0b01]).adjacency == (0b10, 0b01)
 
 
 def test_single_edge_graph_group():
-    gs = GraphState(BitMatrix(2, [0b10, 0b01]))
+    gs = GraphState((0b10, 0b01))
     assert gs.stabilizer().same_group(StabGroup.from_strings(["XZ", "ZX"], 2))
 
 
 def test_cws_to_stabilizer_bell_words():
     # single-edge graph with code {11}: the only commuting combination is
     # the product of both graph generators
-    gs = GraphState(BitMatrix(2, [0b10, 0b01]))
-    g = cws_to_stabilizer(gs, BitMatrix(2, [0b11]))
+    gs = GraphState((0b10, 0b01))
+    g = cws_to_stabilizer(gs, (0b11,))
     assert g.r == 1
     assert g.same_group(StabGroup.from_strings(["YY"], 2))
 
 
 def test_cws_to_stabilizer_rejects_dependent_rows():
-    gs = GraphState(BitMatrix(2, [0b10, 0b01]))
-    with pytest.raises(ValueError):
-        cws_to_stabilizer(gs, BitMatrix(2, [0b11, 0b11]))
-    with pytest.raises(ValueError):
-        cws_to_stabilizer(gs, BitMatrix(3, [0b1]))
+    gs = GraphState((0b10, 0b01))
+    with pytest.raises(ValueError, match="linearly independent"):
+        cws_to_stabilizer(gs, (0b11, 0b11))
+    # code rows are gs.n wide and read as ints, never coerced
+    with pytest.raises(ValueError, match="does not fit in 2 columns"):
+        cws_to_stabilizer(gs, (0b100,))
+    with pytest.raises(ValueError, match="does not fit"):
+        cws_to_stabilizer(gs, (-1,))
+    with pytest.raises(TypeError):
+        cws_to_stabilizer(gs, (3.7,))
 
 
 def test_bell_group_to_cws():
     gp, words = stabilizer_to_cws(StabGroup.from_strings(["XX", "ZZ"], 2))
-    assert gp.adjacency.rows == [0b10, 0b01]  # the single-edge graph
-    assert words.rows == []
+    assert gp.adjacency == (0b10, 0b01)  # the single-edge graph
+    assert words == ()
 
 
 def test_five_qubit_roundtrip():
     g = StabGroup.from_strings(["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"], 5)
     gs, words = stabilizer_to_cws(g)
-    assert len(words.rows) == 1
+    assert len(words) == 1
     back = cws_to_stabilizer(gs, words)
     assert class_key(back) == class_key(g)
 
@@ -287,7 +302,7 @@ def test_cws_roundtrip_fuzz():
         r = rng.randrange(0, n + 1)
         g = random_stab_group(n, r, rng)
         gs, words = stabilizer_to_cws(g)
-        assert len(words.rows) == g.k
+        assert len(words) == g.k
         back = cws_to_stabilizer(gs, words)
         assert back.r == g.r
         assert class_key(back) == class_key(g)
@@ -313,7 +328,7 @@ def test_cws_and_decompose_outputs_pinned(full_enumeration):
         gs, words = stabilizer_to_cws(g)
         rep = decompose(g)
         factors = [(q, list(f.canonical_gens())) for q, f in rep.factors]
-        out = (gs.adjacency.rows, words.rows, rep.trivial_qubits, factors)
+        out = (list(gs.adjacency), list(words), rep.trivial_qubits, factors)
         digest.update(repr(out).encode() + b"\n")
     assert digest.hexdigest() == (
         "d48bd90fe97c8faf7cc811a52e7d55c5cc7e253886ee576eaa8f775b32b36bc4"
@@ -326,7 +341,7 @@ def test_rref_matrix_counts():
         mats = list(_rref_matrices(n, k))
         assert len(mats) == want
         for m in mats:
-            assert len(m.rows) == k
+            assert len(m) == k
 
 
 def test_cws_enumerate_counts():

@@ -134,6 +134,14 @@ class TestApplyPerm:
             with pytest.raises(ValueError):
                 LCPerm("III", image)
 
+    def test_rejects_non_int_image(self):
+        # image entries are read as ints, never truncated: [1.9, 0.2] is
+        # no swap
+        with pytest.raises(TypeError):
+            LCPerm([0, 0], [1.9, 0.2])
+        with pytest.raises(TypeError):
+            LCPerm("II", ["1", "0"])
+
     def test_rejects_other_qubit_count(self):
         with pytest.raises(ValueError, match="qubit counts differ"):
             apply_lcperm(group("XIZ"), LCPerm("II"))

@@ -4,7 +4,7 @@ import itertools
 import random
 from collections import deque
 
-from stabdb.f2core import BitMatrix, rank, reduce_row, rref, span
+from stabdb.f2core import rank, reduce_row, rref, span
 from stabdb.pauli import StabGroup, centralizer, logical_rows, symplectic_product
 from stabdb.transform import LCPerm
 
@@ -21,7 +21,7 @@ def random_stab_group(n: int, r: int, rng) -> StabGroup:
     assert 0 <= r <= n
     g = StabGroup(n, ())
     while g.r < r:
-        basis = centralizer(g).rows
+        basis = centralizer(g)
         cand = 0
         for row in basis:
             if rng.getrandbits(1):
@@ -40,22 +40,23 @@ def random_lcperm(n: int, seed=None) -> LCPerm:
     return LCPerm(gates, image)
 
 
-def matmul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2), the oracle for a row transform; row
-    i of the result is XOR of b-rows selected by the set bits of a's row i."""
-    if a.ncols != b.nrows:
-        raise ValueError("inner dimensions disagree")
+def matmul(a, b) -> tuple:
+    """Matrix product over GF(2) of packed rows, the oracle for a row
+    transform; row i of the result is XOR of b-rows selected by the set
+    bits of a's row i, so a's rows are len(b) wide."""
     out = []
-    for ra in a.rows:
+    for ra in a:
+        if ra >> len(b):
+            raise ValueError("inner dimensions disagree")
         acc = 0
         j = 0
         while ra:
             if ra & 1:
-                acc ^= b.rows[j]
+                acc ^= b[j]
             ra >>= 1
             j += 1
         out.append(acc)
-    return BitMatrix(b.ncols, out)
+    return tuple(out)
 
 
 def closure_order(gens, npoints: int) -> int:
@@ -191,7 +192,7 @@ def brute_gf4_representative(g: StabGroup):
     if g.r % 2 == 1 or g.r == 0:
         return None
     mask = (1 << n) - 1
-    reduced, _ = rref(BitMatrix(2 * n, g.rows))
+    reduced, _ = rref(g.rows, range(2 * n))
     for pattern in itertools.product((0, 1), repeat=n):
         m_inv = sum(1 << j for j, p in enumerate(pattern) if p)
         m_cycle = mask ^ m_inv
@@ -200,7 +201,7 @@ def brute_gf4_representative(g: StabGroup):
             z = row >> n
             nx = ((x ^ z) & m_cycle) | (z & m_inv)
             nz = (x & m_cycle) | ((x ^ z) & m_inv)
-            if reduce_row(reduced.rows, nx | (nz << n)):
+            if reduce_row(reduced, nx | (nz << n)):
                 break
         else:
             return LCPerm(pattern)
