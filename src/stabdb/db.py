@@ -6,6 +6,7 @@ the stored key.  Files are plain UTF-8 text sorted by index, so database
 diffs are line diffs.
 """
 
+import io
 import json
 import os
 import re
@@ -223,22 +224,75 @@ def write_db(records: dict, directory) -> list:
     return paths
 
 
+# the scanner of a decoder with json.loads' defaults: one JSON value at an offset
+_SCAN = json.JSONDecoder().scan_once
+
+
 def read_db(directory, n: int, k: int) -> list:
     """Records of one cell, in file (= index) order; a line that is not a
-    UTF-8 record of this cell raises, naming the file and line."""
+    UTF-8 record of this cell raises, naming the file and line.
+
+    The file is read once, decoded once and split on "\\n" only, as binary
+    line iteration splits it.  A line in the form write_db emits (one JSON
+    value from its first column to its end) is parsed by one scanner call,
+    which gives the object json.loads gives, and passes the checks of
+    CodeRecord.from_json and the cell check.  Every other line, and every
+    line of a file that is not UTF-8, goes through ``_read_line``, so what
+    is accepted and every message are those of the per-line read.
+    """
     path = os.path.join(directory, _cell_name(n, k))
-    records = []
     with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                rec = CodeRecord.from_json(line.decode("utf-8"))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: corrupt record: {exc}")
-            if rec.n != n or rec.k != k:
-                where = f"{path}:{lineno}: record of cell (n={rec.n}, k={rec.k})"
-                raise ValueError(f"{where} filed under cell (n={n}, k={k})")
-            records.append(rec)
+        data = handle.read()
+    try:
+        # byte 0x0A never occurs inside a multi-byte sequence, so the lines
+        # of the decoded file are the decoded lines
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        # line by line, so that the first bad line is named, whatever its fault
+        return [
+            _read_line(path, lineno, line, n, k)
+            for lineno, line in enumerate(io.BytesIO(data), start=1)
+        ]
+    records = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            obj, end = _SCAN(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if (
+            end == len(line)
+            and type(obj) is dict
+            and tuple(obj) == _FIELD_ORDER
+            and _schema_typed(obj)
+            and obj["n"] == n
+            and obj["k"] == k
+        ):
+            rec = CodeRecord.__new__(CodeRecord)
+            rec.__dict__ = obj
+        elif lineno < len(lines):
+            rec = _read_line(path, lineno, (line + "\n").encode(), n, k)
+        elif line:
+            # the last line, with no newline after it
+            rec = _read_line(path, lineno, line.encode(), n, k)
+        else:
+            # the empty piece after the final newline is no line
+            break
+        records.append(rec)
     return records
+
+
+def _read_line(path, lineno: int, line: bytes, n: int, k: int) -> CodeRecord:
+    """The record on one line of a cell file, newline included: decoded,
+    parsed by CodeRecord.from_json and checked against the cell (n, k);
+    raises naming the file and line."""
+    try:
+        rec = CodeRecord.from_json(line.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: corrupt record: {exc}")
+    if rec.n != n or rec.k != k:
+        where = f"{path}:{lineno}: record of cell (n={rec.n}, k={rec.k})"
+        raise ValueError(f"{where} filed under cell (n={n}, k={k})")
+    return rec
 
 
 class Database:

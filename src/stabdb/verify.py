@@ -57,4 +57,5 @@ def mass_check(classes, n: int, k: int) -> tuple:
                 f"(class {key!r})"
             )
         lhs += order // aut
-    return lhs, nlp_count(n, k), lhs == nlp_count(n, k)
+    rhs = nlp_count(n, k)
+    return lhs, rhs, lhs == rhs

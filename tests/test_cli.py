@@ -56,6 +56,28 @@ def test_enumerate_is_deterministic(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_enumerate_is_deterministic_across_hash_seeds(tmp_path):
+    # set and dict iteration over str and bytes keys follows the hash seed,
+    # which is fixed once per process
+    outs = []
+    for seed in ("0", "12345"):
+        out = tmp_path / f"hashseed{seed}"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabdb.cli", "enumerate", "--n", "4", "--out", str(out)],
+            cwd=REPO,
+            env=env,
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == [f"codes_n4_k{k}.jsonl" for k in range(5)]
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_verify_mass_ok(cli_db, capsys):
     assert main(["verify-mass", "--db", str(cli_db)]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -1,6 +1,8 @@
 """Record schema, file round trips, queries, and distribution output."""
 
+import collections
 import json
+import random
 import shutil
 
 import pytest
@@ -20,6 +22,8 @@ from stabdb.db import (
 )
 from stabdb.pauli import StabGroup
 from stabdb.search import enumerate_classes
+
+from util import read_db_per_line
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -373,6 +377,118 @@ def test_validate_checks_reordered_and_extra_fields(tmp_path):
     with pytest.raises(ValueError, match=r"index=0\): missing field\(s\) d, length; "
                        r"unexpected field\(s\) more, extra$"):
         rec.validate()
+
+
+def read_outcome(read, directory, n: int, k: int):
+    """The JSON of every record a reader returns, or the message it raises."""
+    try:
+        return [rec.to_json() for rec in read(directory, n, k)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_read_db_agrees_with_per_line_read(db3, tmp_path):
+    """read_db returns the records, or raises the message, of the per-line
+    read on every written cell and on cells in any other form."""
+    directory, _ = db3
+    for path in sorted(directory.glob("*.jsonl")):
+        n, k = (int(part[1:]) for part in path.stem.split("_")[1:])
+        want = read_outcome(read_db_per_line, directory, n, k)
+        assert isinstance(want, list) and want
+        assert read_outcome(read_db, directory, n, k) == want, path.name
+    text = (directory / "codes_n3_k1.jsonl").read_bytes()
+    lines = text.splitlines(keepends=True)
+    stray = (directory / "codes_n3_k2.jsonl").read_bytes().splitlines(keepends=True)[0]
+    mistyped = lines[1].replace(b'"d":', b'"d":"', 1).replace(b',"index"', b'","index"', 1)
+    cut = lines[1].index(b",")
+    cases = {
+        "CRLF": (text.replace(b"\n", b"\r\n"), True),
+        "spaces around records": (b"".join(b"  " + line[:-1] + b" \n" for line in lines), True),
+        "no final newline": (text[:-1], True),
+        "empty file": (b"", True),
+        "blank line in the middle": (lines[0] + b"\n" + b"".join(lines[1:]), False),
+        "blank line at the end": (text + b"\n", False),
+        "UTF-8 BOM": (b"\xef\xbb\xbf" + text, False),
+        "record split over two lines": (
+            lines[0] + lines[1][: cut + 1] + b"\n" + lines[1][cut + 1 :], False
+        ),
+        "two records on one line": (lines[0][:-1] + lines[1], False),
+        "\\xff on line 2": (lines[0] + lines[1].replace(b'"X', b'"\xffX', 1), False),
+        "encoded surrogate on line 2": (
+            lines[0] + lines[1].replace(b'"X', b'"\xed\xa0\x80X', 1), False
+        ),
+        "record of another cell": (lines[0] + stray, False),
+        "mistyped field": (lines[0] + mistyped + lines[2], False),
+    }
+    target = tmp_path / "codes_n3_k1.jsonl"
+    for label, (data, accepted) in cases.items():
+        target.write_bytes(data)
+        want = read_outcome(read_db_per_line, tmp_path, 3, 1)
+        assert isinstance(want, list) == accepted, label
+        assert read_outcome(read_db, tmp_path, 3, 1) == want, label
+
+
+def test_read_db_agrees_with_per_line_read_on_mutations(db3, tmp_path):
+    """Seeded random edits of a real cell: a byte flipped, inserted or
+    deleted, lines joined, split or duplicated."""
+    directory, _ = db3
+    text = (directory / "codes_n3_k1.jsonl").read_bytes()
+    target = tmp_path / "codes_n3_k1.jsonl"
+    rng = random.Random(36)
+    # bytes that matter to the split, the decoder and the scanner
+    pool = b'\n\r \t{}[]",:0123456789-eE.tnfXZ\\\xff\xc3\xa9\xed\xef\xbb\xbf\x00'
+    kinds = ("flip", "insert", "delete", "join", "split", "duplicate")
+    outcomes = collections.Counter()
+    for _ in range(600):
+        data = bytearray(text)
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(kinds)
+            at = rng.randrange(len(data) + 1)
+            if kind == "flip" and at < len(data):
+                data[at] = rng.choice([data[at] ^ 1 << rng.randrange(8), rng.choice(pool)])
+            elif kind == "insert":
+                data[at:at] = bytes([rng.choice(pool)])
+            elif kind == "delete":
+                del data[at : at + 1]
+            elif kind == "join":
+                newlines = [i for i, byte in enumerate(data) if byte == 0x0A]
+                if newlines:
+                    del data[rng.choice(newlines)]
+            elif kind == "split":
+                data[at:at] = b"\n"
+            elif kind == "duplicate":
+                lines = bytes(data).split(b"\n")
+                i = rng.randrange(len(lines))
+                lines.insert(i, lines[i])
+                data = bytearray(b"\n".join(lines))
+        target.write_bytes(data)
+        want = read_outcome(read_db_per_line, tmp_path, 3, 1)
+        assert read_outcome(read_db, tmp_path, 3, 1) == want, bytes(data)
+        outcomes[isinstance(want, list)] += 1
+    # both routes of read_db ran many times
+    assert outcomes[True] > 50 and outcomes[False] > 50, outcomes
+
+
+def test_database_reads_each_cell_once(db3, monkeypatch):
+    """Database reads a cell through the module-level db.read_db, at most
+    once, however many records, query and emit_distributions calls ask."""
+    directory, _ = db3
+    calls = collections.Counter()
+
+    def counted(directory, n, k):
+        calls[(n, k)] += 1
+        return read(directory, n, k)
+
+    read = db.read_db
+    monkeypatch.setattr(db, "read_db", counted)
+    database = Database(directory)
+    for _ in range(3):
+        for n, k in database.cells():
+            assert database.records(n, k) is database.records(n, k)
+        for q in (Query(), Query(n=3, k=1), Query(d=2, info_only=True)):
+            query(database, q)
+        emit_distributions(database, 3)
+    assert calls == {(3, k): 1 for k in range(4)}
 
 
 def test_database_cells(db3):

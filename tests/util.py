@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import os
 import random
 from collections import deque
 
+from stabdb.db import CodeRecord, _cell_name
 from stabdb.f2core import rank, reduce_row, rref, span
 from stabdb.pauli import StabGroup, centralizer, logical_rows, symplectic_product
 from stabdb.transform import LCPerm
@@ -38,6 +40,26 @@ def random_lcperm(n: int, seed=None) -> LCPerm:
     rng.shuffle(image)
     gates = [rng.randrange(6) for _ in range(n)]
     return LCPerm(gates, image)
+
+
+def read_db_per_line(directory, n: int, k: int) -> list:
+    """The oracle for db.read_db: the cell file read by binary line
+    iteration, each line decoded as strict UTF-8, parsed by
+    CodeRecord.from_json and checked against the cell, raising read_db's
+    messages."""
+    path = os.path.join(directory, _cell_name(n, k))
+    records = []
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                rec = CodeRecord.from_json(line.decode("utf-8"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: corrupt record: {exc}")
+            if rec.n != n or rec.k != k:
+                where = f"{path}:{lineno}: record of cell (n={rec.n}, k={rec.k})"
+                raise ValueError(f"{where} filed under cell (n={n}, k={k})")
+            records.append(rec)
+    return records
 
 
 def matmul(a, b) -> tuple:
