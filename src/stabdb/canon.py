@@ -22,7 +22,12 @@ the image of the first path's node at its depth under a map that sends
 every edge to an edge is that map's image of the first path, so its first
 leaf would match the first leaf.  The node records the map and jumps back
 at once; one edge-membership pass replaces the descent and the sorted leaf
-certificate, and the search returns exactly what it did without the cut.
+certificate.  The map is the position map when that sends every edge to
+an edge; on a code graph, where it does not, the node derives one from
+the white triangles, the black vertices following linearly, and checks
+it the same way.  The key, the labeling and the order are what the
+descent gives.  A recorded generator may be another element of the coset
+the descent's lies in, and the generators still generate the same group.
 The same search reads off the group order, as a product of orbit sizes
 along its first path; correctness of the whole pipeline is certified
 independently by the exact counting identity in the verify module.
@@ -46,6 +51,7 @@ stopped at a known key is not kept (it has no generators).
 
 from __future__ import annotations
 
+import itertools
 import struct
 from collections import deque
 from typing import NamedTuple
@@ -370,6 +376,148 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return k
 
 
+def _maps_edges(sigma, edges, edge_codes, nverts) -> bool:
+    """Whether sigma sends every edge to an edge (edge_codes holds u *
+    nverts + v for each edge both ways)."""
+    # a plain loop costs less per edge than all() over a generator
+    for u, v in edges:
+        if sigma[u] * nverts + sigma[v] not in edge_codes:
+            return False
+    return True
+
+
+# White-corner maps a derivation tries before it gives up.  A classify-n7
+# pass (perfbench, seed 1) makes 2,967 search nodes without derivations;
+# trying the first map alone leaves 2,318, up to 8 leave 2,035 and up to
+# 64 leave 2,015.
+_WHITE_MAPS = 8
+
+
+def _code_shape(gph: ColoredGraph):
+    """(black table, inverse Gray code) of a graph shaped as
+    build_code_graph builds, or False.
+
+    The shape: t = 2^r black vertices first, then white triangles t+3j..
+    t+3j+2, black vertices touching only white ones, no other edges (the
+    edges not at a black vertex are the 3n triangle sides), and no two
+    black vertices with the same neighbourhood.  The table maps each
+    black neighbourhood, as a frozenset, to its vertex; the inverse Gray
+    code maps i ^ (i >> 1) to i for i < t.
+    """
+    colors, adj, nverts = gph.colors, gph.adj, gph.nverts
+    t = colors.count(_BLACK)
+    if not t or t & (t - 1) or (nverts - t) % 3:
+        return False
+    if colors[t:] != (_WHITE,) * (nverts - t):
+        return False
+    if any(adj[u] and min(adj[u]) < t for u in range(t)):
+        return False
+    if len(gph.edges) - sum(map(len, adj[:t])) != nverts - t:
+        return False
+    for c in range(t, nverts, 3):
+        if c + 1 not in adj[c] or c + 2 not in adj[c] or c + 2 not in adj[c + 1]:
+            return False
+    table = {frozenset(adj[u]): u for u in range(t)}
+    if len(table) < t:
+        return False
+    gray_inv = [0] * t
+    for i in range(t):
+        gray_inv[i ^ (i >> 1)] = i
+    return table, gray_inv
+
+
+def _triangle_cells(start, t: int) -> list:
+    """The cell names of each triangle's corners, sorted, in sorted order."""
+    return sorted(map(sorted, zip(start[t::3], start[t + 1 :: 3], start[t + 2 :: 3])))
+
+
+# the other two corner slots of a triangle, by slot
+_OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
+
+
+def _white_maps(fp, part, t, todo, i, sigma, taken):
+    """Yields sigma extended to every white corner of todo[i:], so that
+    each corner lands in the cell of part at the position of its cell in
+    fp and each triangle lands on a whole triangle.
+
+    sigma (-1 where unset) and taken (1 at each image) are shared and
+    restored on backtracking; corners go to images in part's order, so
+    the position map comes first wherever it keeps triangles whole.  When
+    fp and part hold the same triangle cell names, every partial map
+    extends, so each yield costs one pass over the triangles.
+    """
+    while i < len(todo) and sigma[todo[i]] >= 0:
+        i += 1
+    if i == len(todo):
+        yield sigma
+        return
+    a = todo[i]
+    base = a - (a - t) % 3
+    o1, o2 = _OTHER_SLOTS[a - base]
+    a1, a2 = base + o1, base + o2
+    cells = [fp.start[a1], fp.start[a2]]
+    s = fp.start[a]
+    for b in part.order[s : part.end[s]]:
+        if taken[b]:
+            continue
+        base = b - (b - t) % 3
+        o1, o2 = _OTHER_SLOTS[b - base]
+        b1, b2 = base + o1, base + o2
+        for x, y in ((b1, b2), (b2, b1)):
+            if [part.start[x], part.start[y]] != cells:
+                continue
+            sigma[a], sigma[a1], sigma[a2] = b, x, y
+            taken[b] = taken[x] = taken[y] = 1
+            yield from _white_maps(fp, part, t, todo, i + 1, sigma, taken)
+            sigma[a] = sigma[a1] = sigma[a2] = -1
+            taken[b] = taken[x] = taken[y] = 0
+
+
+def _derive_aut(shape, gph, edge_codes, fp, part, first_fixed, fixed):
+    """An automorphism of a code graph that sends the first path's node fp
+    onto part, found without descending, or None.
+
+    Tried for up to _WHITE_MAPS white maps (see _white_maps).  A white
+    map acts on the letters of each qubit as a permutation of X, Y and Z,
+    which is linear, so on the black vertices it is linear too: black
+    vertex 2^(k+1) - 1, generator k alone in Gray order, goes to the one
+    whose neighbourhood is the image of its own, and every other black
+    vertex i to the product of the images of the generators in its mask
+    i ^ (i >> 1).  The map is accepted when every generator has an image,
+    it is a bijection, it sends the first path's individualized vertices
+    onto part's in order, and it sends every edge to an edge.  shape is
+    _code_shape(gph).
+    """
+    table, gray_inv = shape
+    t = len(table)
+    if _triangle_cells(fp.start, t) != _triangle_cells(part.start, t):
+        return None
+    adj = gph.adj
+    sigma = [-1] * gph.nverts
+    image_of = sigma.__getitem__
+    todo = [a for a in fp.order if a >= t]
+    white_maps = _white_maps(fp, part, t, todo, 0, sigma, bytearray(gph.nverts))
+    for _ in itertools.islice(white_maps, _WHITE_MAPS):  # each fills sigma's corners
+        # the image masks of black vertices 0..t-1, doubled generator by
+        # generator as the reflected Gray code is
+        masks = [0]
+        for k in range(t.bit_length() - 1):
+            image = table.get(frozenset(map(image_of, adj[(2 << k) - 1])))
+            if image is None:
+                break
+            image ^= image >> 1
+            masks += [m ^ image for m in reversed(masks)]
+        else:
+            sigma[:t] = map(gray_inv.__getitem__, masks)
+            if (
+                all(sigma[a] == b for a, b in zip(first_fixed, fixed))
+                and len(set(masks)) == t
+                and _maps_edges(sigma, gph.edges, edge_codes, gph.nverts)
+            ):
+                return tuple(sigma)
+    return None
+
+
 def _canonical_search(gph: ColoredGraph, known=()) -> SearchResult:
     """The canonical key, best labeling, automorphism generators and order.
 
@@ -401,9 +549,32 @@ def _canonical_search(gph: ColoredGraph, known=()) -> SearchResult:
     sigma's image of the first leaf, with the same certificate.  The
     search would descend to that leaf, record sigma and return the common
     prefix with the first path; the node does both at once, checking
-    edges instead of sorting a certificate.  So the generators, in order,
-    the order and the key cannot change, and _leaf_cert runs only at the
-    first leaf and at leaves that no such node catches.
+    edges instead of sorting a certificate.  So the order and the key
+    cannot change, and _leaf_cert runs only at the first leaf and at
+    leaves that no such node catches.
+
+    Where the position map fails at such a node of a code graph, the node
+    derives a map instead of descending (_derive_aut): the white corners
+    of each cell of the first-path node go onto the same cell here, whole
+    triangles onto whole triangles, for a few such maps; each generator's
+    black vertex goes to the one whose neighbourhood is the image of its
+    own, and every other black vertex to the product of its generators'
+    images.  The map is taken when it is a bijection that sends the first
+    path's individualized vertices onto this node's, in order, and every
+    edge to an edge.  It is then an automorphism, and the search tree is
+    invariant under it, so this node and each of its ancestors below the
+    common prefix with the first path are its images of the first path's
+    nodes at their depths, whose subtrees are searched: the jump back to
+    the common prefix holds as for a leaf equal to the first one, and the
+    map, which fixes the prefix and sends the first path's next vertex to
+    this branch's, merges the orbit as that leaf's automorphism would.  So
+    the key, the best labeling and the order are those of the descent.
+    The generator recorded may be another element of the coset the
+    descent's lies in, so the generators may differ while they generate
+    the same group.
+    Other graphs (not 2^r black vertices with distinct neighbourhoods,
+    then 3n white vertices in triangles, with black vertices touching only
+    white ones) never derive.
 
     A leaf whose certificate equals the first leaf's is always caught this
     way, so a leaf is compared with the best leaf alone.  Its automorphism
@@ -434,6 +605,7 @@ def _canonical_search(gph: ColoredGraph, known=()) -> SearchResult:
     # u * nverts + v for each edge both ways, filled at the first leaf: a
     # search that stops there at a known key never reads it
     edge_codes = set()
+    shape = None  # _code_shape(gph), built at the first derivation
     gens: list[tuple] = []
     gen_seen: set[tuple] = set()
     size = 1
@@ -446,20 +618,23 @@ def _canonical_search(gph: ColoredGraph, known=()) -> SearchResult:
 
     def explore(part, fixed):
         """Searches below the node; returns the depth to resume at."""
-        nonlocal size, first, best, first_key
+        nonlocal size, first, best, first_key, shape
         depth = len(fixed)
         if first is None:
             first_parts.append(part)
         elif depth < len(first_parts) and part.end == first_parts[depth].end:
             # sigma sends each first-path vertex to the one at its position here
+            fp = first_parts[depth]
             sigma = [0] * nverts
-            for a, b in zip(first_parts[depth].order, part.order):
+            for a, b in zip(fp.order, part.order):
                 sigma[a] = b
-            # a plain loop costs less per edge than all() over a generator
-            for u, v in edges:
-                if sigma[u] * nverts + sigma[v] not in edge_codes:
-                    break
-            else:
+            if not _maps_edges(sigma, edges, edge_codes, nverts):
+                if shape is None:
+                    shape = _code_shape(gph)
+                sigma = shape and _derive_aut(
+                    shape, gph, edge_codes, fp, part, first[2], fixed
+                )
+            if sigma:
                 record_aut(sigma)
                 return _common_prefix(fixed, first[2])
         if part.nbig == 0:

@@ -253,10 +253,15 @@ def css_representative(g: StabGroup):
     generator combinations that vanish on the prefix span r - R_j dimensions
     and stay independent on the suffix, so the final sum is at least the
     prefix sum plus r - R_j, above r, while a witness needs exactly r.  The
-    order of the odometer is unchanged, so the first witness is too.  Qubit
-    permutations never help, so none are tried.  Once the search visits
-    more than CSS_MAX_NODES nodes, _css_excluded answers None when it
-    proves that no witness exists, and ValueError is raised otherwise.
+    order of the odometer is unchanged, so the first witness is too.
+    At qubit 0 a gate is skipped when the gate drawing its X and Z columns
+    from the swapped sources comes earlier: a global H swaps the two parts,
+    keeping rank(X) + rank(Z), so it maps the witnesses below one gate onto
+    those below the other, and the earlier gate's subtree, searched first,
+    holds one exactly when the skipped one does.  Qubit permutations never
+    help, so none are tried.  Once the search visits more than
+    CSS_MAX_NODES nodes, _css_excluded answers None when it proves that no
+    witness exists, and ValueError is raised otherwise.
     """
     n, r = g.n, g.r
     if r == 0:
@@ -296,6 +301,8 @@ def css_representative(g: StabGroup):
         red_x = (xx, xz, xx ^ xz)
         red_z = (zx, zz, zx ^ zz)
         for gate, (src_x, src_z) in enumerate(_SOURCES):
+            if j == 0 and _SOURCES.index((src_z, src_x)) < gate:
+                continue  # the X<->Z mirror of a gate already searched
             vx = red_x[src_x]
             vz = red_z[src_z]
             if (vx != 0) + (vz != 0) > room:

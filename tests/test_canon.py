@@ -25,6 +25,8 @@ from stabdb.search import enumerate_classes, extend_class
 from stabdb.transform import LETTER_PERMS, LCPerm, apply_lcperm
 from util import (
     closure_order,
+    count_calls,
+    perm_group_order,
     random_lcperm,
     random_stab_group,
     reference_refine,
@@ -537,30 +539,55 @@ class TestEarlyExit:
         assert len(calls) < full
 
 
+def _pin_digests(full_enumeration, fields) -> set:
+    """sha256 of fields(key, SearchResult) over every n <= 5 class
+    representative and N7_CODES, once from the graphs and once from the
+    groups, whose searches the census that found them has already run."""
+    reps = [
+        e.rep
+        for n in range(1, 6)
+        for cell in sorted(full_enumeration[n]["classes"])
+        for e in full_enumeration[n]["classes"][cell]
+    ]
+    digests = set()
+    for form in (lambda g: graph_form(build_code_graph(g)), canonical_form):
+        digest = hashlib.sha256()
+        for g in reps + list(N7_CODES.values()):
+            digest.update(repr(fields(*form(g))).encode())
+        digests.add(digest.hexdigest())
+    return digests
+
+
+def _n7_images() -> dict:
+    """Each of N7_CODES with the 10 seeded images of it that
+    TestRefine.test_searches_match_reference searches."""
+    rng = random.Random(19)
+    return {
+        name: [g] + [apply_lcperm(g, random_lcperm(7, rng)) for _ in range(10)]
+        for name, g in N7_CODES.items()
+    }
+
+
 class TestExactPruning:
     """A node whose partition is an automorphism's image of the first
     path's node at its depth is cut with no leaf certificate; the search
-    must return exactly what the unpruned one does."""
+    must return exactly the key and |Aut| of the unpruned one."""
 
-    def test_outputs_pinned(self, full_enumeration):
-        # key, |Aut| and the generator tuples, in order, of the search that
-        # descends to every automorphism leaf and sorts its certificate;
-        # once from the graphs and once from the groups, whose searches the
-        # census that found them has already run
-        reps = [
-            e.rep
-            for n in range(1, 6)
-            for cell in sorted(full_enumeration[n]["classes"])
-            for e in full_enumeration[n]["classes"][cell]
-        ]
-        for form in (lambda g: graph_form(build_code_graph(g)), canonical_form):
-            digest = hashlib.sha256()
-            for g in reps + list(N7_CODES.values()):
-                key, aut = form(g)
-                digest.update(repr((key, aut.size, aut.generators)).encode())
-            assert digest.hexdigest() == (
-                "487fdebb7151fc36c6225264781a498720552ac118b24a386e9e21dab568013d"
-            )
+    def test_keys_and_orders_pinned(self, full_enumeration):
+        # the digest of the search that descends to every automorphism leaf
+        # and sorts its certificate
+        assert _pin_digests(full_enumeration, lambda key, aut: (key, aut.size)) == {
+            "2087b98575f6b84ae37a8da8843f051f1b30aa846fc2ba0fd014bdd0a9cd270c"
+        }
+
+    def test_generators_pinned(self, full_enumeration):
+        # the generator tuples, in order: an automorphism derived where a
+        # branch mirrors the first path may be another element of the coset
+        # of the one the descent would read off a leaf, so these differ
+        # from the unpruned search's while generating the same group
+        assert _pin_digests(full_enumeration, lambda key, aut: aut.generators) == {
+            "6d2cf8c7d1e7c432fa366350874880a0c8677050e26fe0c27706f7cda12bb822"
+        }
 
     @pytest.mark.parametrize("name", sorted(N7_CODES))
     def test_one_leaf_cert_per_search(self, name, monkeypatch):
@@ -579,15 +606,127 @@ class TestExactPruning:
             graph_form(build_code_graph(h))
             assert len(calls) == 1
 
-    def test_search_leaves_no_garbage(self):
-        gph = build_code_graph(N7_CODES["ghz7"])
-        gc.collect()
-        gc.disable()
-        try:
-            graph_form(gph)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+    def test_search_leaves_no_garbage(self, monkeypatch):
+        derived = _record_derivations(monkeypatch)
+        ghz7 = N7_CODES["ghz7"]
+        image = apply_lcperm(ghz7, random_lcperm(7, 53))
+        for gph in (build_code_graph(ghz7), build_code_graph(image)):
+            gc.collect()
+            gc.disable()
+            try:
+                graph_form(gph)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+        # the image's search recorded derived automorphisms
+        assert any(sigma is not None for sigma in derived)
+
+
+def _record_derivations(monkeypatch) -> list:
+    """Rebinds canon._derive_aut to a wrapper that appends each result,
+    an automorphism or None, to the list returned."""
+    derived = []
+    derive_aut = canon._derive_aut
+
+    def call(*args):
+        derived.append(derive_aut(*args))
+        return derived[-1]
+
+    monkeypatch.setattr(canon, "_derive_aut", call)
+    return derived
+
+
+def _assert_automorphisms(gph: ColoredGraph, perms) -> None:
+    """Each of perms is a colour-preserving bijection of gph's vertices
+    that sends every edge to an edge."""
+    edges = set(gph.edges)
+    for perm in perms:
+        assert sorted(perm) == list(range(gph.nverts))
+        assert all(gph.colors[perm[v]] == gph.colors[v] for v in range(gph.nverts))
+        for u, v in gph.edges:
+            a, b = perm[u], perm[v]
+            assert (min(a, b), max(a, b)) in edges
+
+
+class TestDerivedAutomorphisms:
+    """Where the position map fails at a node whose cells end where the
+    first path's do, a code graph's search derives the automorphism from
+    the white triangles; any other graph keeps the position map alone."""
+
+    def test_generic_graphs_never_derive(self, monkeypatch):
+        counts = {}
+        count_calls(monkeypatch, counts, canon, "_derive_aut")
+        known = [
+            ColoredGraph(6, [1] * 6, _cycle(6)),
+            ColoredGraph(
+                10,
+                [1] * 10,
+                _cycle(5)
+                + [(i, i + 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+            ),
+            ColoredGraph(8, [1] * 8, []),
+        ]
+        # a code graph numbered backwards: its colour-1 vertices come last
+        code = build_code_graph(group("XXXXX", "ZZIII", "IZZII", "IIZZI", "IIIZZ"))
+        back = code.nverts - 1
+        reversed_code = ColoredGraph(
+            code.nverts,
+            code.colors[::-1],
+            [(back - u, back - v) for u, v in code.edges],
+        )
+        for gph in [*_random_colored_graphs(), *known, reversed_code]:
+            aut = graph_form(gph)[1]
+            assert closure_order(aut.generators, gph.nverts) == aut.size
+        assert counts["_derive_aut"] == 0
+        # the same graph in code order derives, and finds the same order
+        assert graph_form(code)[1].size == aut.size
+        assert counts["_derive_aut"] > 0
+
+    def test_image_generators_are_automorphisms(self, full_enumeration, monkeypatch):
+        # a random image of every n <= 5 class: each generator is a
+        # colour-preserving bijection sending every edge to an edge, and
+        # the generators give |Aut| on the letter points
+        derived = _record_derivations(monkeypatch)
+        rng = random.Random(59)
+        for n in range(1, 6):
+            for entries in full_enumeration[n]["classes"].values():
+                for e in entries:
+                    h = apply_lcperm(e.rep, random_lcperm(n, rng))
+                    _, found = canonical_form(h)
+                    _assert_automorphisms(build_code_graph(h), found.generators)
+                    points = [_letter_point_perm(a) for a in automorphisms(h)]
+                    assert perm_group_order(points, 3 * n) == found.size
+        assert sum(sigma is not None for sigma in derived) > 0
+
+    def test_black_vertices_out_of_gray_order(self, monkeypatch):
+        # shuffling the black vertices keeps the code shape, so the search
+        # still derives, but the black map it reads off the Gray order is
+        # wrong there: the bijection and edge checks must refuse it, and the
+        # key and order stay those of the graph in code order
+        derived = _record_derivations(monkeypatch)
+        rng = random.Random(67)
+        for name in ("ghz7", "steane", "all_z7", "repetition7"):
+            code = build_code_graph(N7_CODES[name])
+            t = code.colors.count(1)
+            perm = rng.sample(range(t), t) + list(range(t, code.nverts))
+            shuffled = ColoredGraph(
+                code.nverts, code.colors, [(perm[u], perm[v]) for u, v in code.edges]
+            )
+            key, aut = graph_form(code)
+            shuffled_key, shuffled_aut = graph_form(shuffled)
+            assert (shuffled_key, shuffled_aut.size) == (key, aut.size)
+            _assert_automorphisms(shuffled, shuffled_aut.generators)
+        assert derived.count(None) > 0
+
+    def test_group_order_oracle(self, class_reps):
+        # perm_group_order agrees with the closure wherever that runs
+        for g in class_reps:
+            points = [_letter_point_perm(a) for a in automorphisms(g)]
+            assert perm_group_order(points, 3 * g.n) == closure_order(points, 3 * g.n)
+        for gph in _random_colored_graphs():
+            gens = graph_form(gph)[1].generators
+            assert perm_group_order(gens, gph.nverts) == closure_order(gens, gph.nverts)
 
 
 class TestSearchWork:
@@ -598,24 +737,32 @@ class TestSearchWork:
         # fresh groups, so every search runs: one refine per node (each
         # root and each individualized child), one _leaf_cert per leaf that
         # no automorphism check caught
-        counts = {"search": 0, "refine": 0, "leaf_cert": 0}
-
-        def counted(name, fn):
-            def call(*args):
-                counts[name] += 1
-                return fn(*args)
-
-            return call
-
-        monkeypatch.setattr(
-            canon, "_canonical_search", counted("search", canon._canonical_search)
-        )
-        monkeypatch.setattr(
-            canon._Partition, "refine", counted("refine", canon._Partition.refine)
-        )
-        monkeypatch.setattr(canon, "_leaf_cert", counted("leaf_cert", canon._leaf_cert))
+        counts = {}
+        count_calls(monkeypatch, counts, canon, "_canonical_search", "search")
+        count_calls(monkeypatch, counts, canon._Partition, "refine")
+        count_calls(monkeypatch, counts, canon, "_leaf_cert", "leaf_cert")
         enumerate_classes(5)
-        assert counts == {"search": 196, "refine": 2511, "leaf_cert": 199}
+        assert counts == {"search": 196, "refine": 2197, "leaf_cert": 199}
+
+    def test_n7_images_refine_counts(self, monkeypatch):
+        # refine calls (search nodes) per code over N7_CODES and 10 images
+        # of each; descending to a leaf for every automorphism the position
+        # map misses took 892 for GHZ7 and its images, and 2,190 in all
+        counts = {}
+        count_calls(monkeypatch, counts, canon._Partition, "refine")
+        per_code = {}
+        for name, groups in _n7_images().items():
+            counts["refine"] = 0
+            for h in groups:
+                graph_form(build_code_graph(h))
+            per_code[name] = counts["refine"]
+        assert per_code == {
+            "ghz7": 275,
+            "all_z7": 297,
+            "steane": 171,
+            "cycle7": 55,
+            "repetition7": 297,
+        }
 
 
 class TestOneSearchPerGroup:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import math
 import os
 import random
 from collections import deque
@@ -8,7 +9,7 @@ from collections import deque
 from stabdb.db import CodeRecord, _cell_name
 from stabdb.f2core import rank, reduce_row, rref, span
 from stabdb.pauli import StabGroup, centralizer, logical_rows, symplectic_product
-from stabdb.transform import LCPerm
+from stabdb.transform import _SOURCES, LCPerm
 
 
 def random_stab_group(n: int, r: int, rng) -> StabGroup:
@@ -62,6 +63,63 @@ def read_db_per_line(directory, n: int, k: int) -> list:
     return records
 
 
+def reference_css_search(g: StabGroup):
+    """properties.css_representative's search as it was before it skipped
+    the X<->Z mirror at qubit 0: (gates of the first witness or None,
+    nodes visited), with no node bound (the oracle the faster search must
+    match on every group it decides)."""
+    n, r = g.n, g.r
+    if r == 0:
+        return (0,) * n, 1
+    cols = []
+    for j in range(n):
+        cx = cz = 0
+        for i, row in enumerate(g.rows):
+            cx |= ((row >> j) & 1) << i
+            cz |= ((row >> (n + j)) & 1) << i
+        cols.append((cx, cz))
+    bound = [0]
+    prefix = []
+    for col in cols:
+        for v in col:
+            v = reduce_row(prefix, v)
+            if v:
+                prefix.append(v)
+        bound.append(len(prefix))
+    gates = []
+    nodes = 0
+
+    def search(j, basis_x, basis_z):
+        nonlocal nodes
+        nodes += 1
+        if j == n:
+            return True
+        room = bound[j + 1] - len(basis_x) - len(basis_z)
+        cx, cz = cols[j]
+        xx, xz = reduce_row(basis_x, cx), reduce_row(basis_x, cz)
+        zx, zz = reduce_row(basis_z, cx), reduce_row(basis_z, cz)
+        red_x = (xx, xz, xx ^ xz)
+        red_z = (zx, zz, zx ^ zz)
+        for gate, (src_x, src_z) in enumerate(_SOURCES):
+            vx = red_x[src_x]
+            vz = red_z[src_z]
+            if (vx != 0) + (vz != 0) > room:
+                continue
+            gates.append(gate)
+            if search(
+                j + 1,
+                basis_x + [vx] if vx else basis_x,
+                basis_z + [vz] if vz else basis_z,
+            ):
+                return True
+            gates.pop()
+        return False
+
+    found = search(0, [], [])
+    del search  # it refers to itself
+    return (tuple(gates) if found else None), nodes
+
+
 def matmul(a, b) -> tuple:
     """Matrix product over GF(2) of packed rows, the oracle for a row
     transform; row i of the result is XOR of b-rows selected by the set
@@ -97,6 +155,80 @@ def closure_order(gens, npoints: int) -> int:
                     nxt.append(q)
         frontier = nxt
     return len(seen)
+
+
+def perm_group_order(gens, npoints: int) -> int:
+    """Order of the permutation group the gens generate, by the
+    deterministic Schreier-Sims algorithm: a base and strong generating
+    set, every Schreier generator sifted to the identity, and the order
+    the product of the basic orbit lengths (a polynomial oracle for groups
+    too large for closure_order)."""
+    identity = tuple(range(npoints))
+
+    def mul(a, b):  # a, then b
+        return tuple(b[x] for x in a)
+
+    def inv(a):
+        out = [0] * npoints
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    def orbit(b, gs):  # point -> an element taking b there
+        tr = {b: identity}
+        queue = [b]
+        for p in queue:
+            for g in gs:
+                if g[p] not in tr:
+                    tr[g[p]] = mul(tr[p], g)
+                    queue.append(g[p])
+        return tr
+
+    gens = [tuple(g) for g in gens if tuple(g) != identity]
+    base = []
+    for g in gens:
+        if all(g[b] == b for b in base):
+            base.append(next(x for x in range(npoints) if g[x] != x))
+    level_gens = [
+        [g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))
+    ]
+    trs = [orbit(b, gs) for b, gs in zip(base, level_gens)]
+    i = len(base) - 1
+    while i >= 0:
+        for beta, u, s in ((b, u, s) for b, u in trs[i].items() for s in level_gens[i]):
+            h = mul(mul(u, s), inv(trs[i][s[beta]]))  # fixes base[i]
+            j = i + 1
+            while j < len(base) and h[base[j]] in trs[j]:
+                h = mul(h, inv(trs[j][h[base[j]]]))
+                j += 1
+            if h == identity:
+                continue
+            if j == len(base):
+                base.append(next(x for x in range(npoints) if h[x] != x))
+                level_gens.append([])
+                trs.append(None)
+            for m in range(i + 1, j + 1):
+                level_gens[m].append(h)
+                trs[m] = orbit(base[m], level_gens[m])
+            i = j
+            break
+        else:
+            i -= 1
+    return math.prod(len(tr) for tr in trs)
+
+
+def count_calls(monkeypatch, counts: dict, owner, name: str, key=None) -> None:
+    """Rebinds owner.name to a wrapper that adds one to counts[key] (key
+    defaults to name) on every call."""
+    fn = getattr(owner, name)
+    key = key or name
+    counts.setdefault(key, 0)
+
+    def call(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
 
 
 def packed_weight(row: int, n: int) -> int:
