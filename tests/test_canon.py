@@ -340,10 +340,7 @@ class TestRefine:
             for entries in full_enumeration[n]["classes"].values()
             for e in entries
         ]
-        rng = random.Random(19)
-        for g in N7_CODES.values():
-            for _ in range(10):
-                graphs.append(build_code_graph(apply_lcperm(g, random_lcperm(7, rng))))
+        graphs += [build_code_graph(h) for hs in _n7_images().values() for h in hs]
         graphs += _random_colored_graphs()
         for gph in graphs:  # graphs: no search is remembered
             graph_form(gph)
@@ -559,8 +556,7 @@ def _pin_digests(full_enumeration, fields) -> set:
 
 
 def _n7_images() -> dict:
-    """Each of N7_CODES with the 10 seeded images of it that
-    TestRefine.test_searches_match_reference searches."""
+    """Each of N7_CODES with 10 seeded random images of it."""
     rng = random.Random(19)
     return {
         name: [g] + [apply_lcperm(g, random_lcperm(7, rng)) for _ in range(10)]
