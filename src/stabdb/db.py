@@ -154,14 +154,13 @@ def invariants(g: StabGroup) -> dict:
     record field name in the order ``stabdb props`` prints them; records and
     ``stabdb props`` both read this table."""
     report = decompose(g)
-    d = distance(g)
     weights = weight_enumerator(g).coeffs
     return {
-        "d": d,
+        "d": distance(g, weights),
         "length": report.length,
         "is_css": css_rank_test(g) or css_representative(g) is not None,
         "is_decomposable": report.decomposable,
-        "is_degenerate": is_degenerate(g, d, weights),
+        "is_degenerate": is_degenerate(g, weights),
         "is_gf4linear": gf4_representative(g) is not None,
         "is_even": is_even(g),
         "weight_enumerator": list(weights),

@@ -1,12 +1,12 @@
 """Per-class invariants: distance, enumerators, structure flags.
 
-Everything here is computed exactly: distance, weight enumerator and
-degeneracy by one bit-sliced weight count over every product of a row list,
-evenness from the generators' parities, and the CSS / GF(4) flags by
-searches over small per-qubit spaces.  Weight, distance, evenness,
-decomposition length and the CSS / GF(4) flags are all invariant under the
-local-Clifford + permutation action, which the test suite checks by acting
-with random symmetries.
+Everything here is computed exactly: the weight enumerator by one
+bit-sliced weight count over every group element, distance and degeneracy
+from that enumerator, evenness from the generators' parities, and the CSS /
+GF(4) flags by searches over small per-qubit spaces.  Weight, distance,
+evenness, decomposition length and the CSS / GF(4) flags are all invariant
+under the local-Clifford + permutation action, which the test suite checks
+by acting with random symmetries.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .f2core import kernel, rank, reduce_row, rref, span
-from .pauli import StabGroup, logical_rows
+from .pauli import StabGroup
 from .transform import _SOURCES, LCPerm, apply_lcperm, lcperm_rows
 
 __all__ = [
@@ -32,9 +32,9 @@ __all__ = [
 ]
 
 # The weight kernel weighs at most 2^MAX_PRODUCT_BITS products, in chunks
-# of 2^_SLICE_BITS, so at most 2^(24 - 16) = 256 chunks: distance checks
-# its 2k + r rows against it, which admits every group on up to 12 qubits,
-# and weight_enumerator its r rows.
+# of 2^_SLICE_BITS, so at most 2^(24 - 16) = 256 chunks: weight_enumerator
+# checks the rank r against it, and distance and degeneracy read its
+# enumerator, so every group on up to 24 qubits gets all three.
 MAX_PRODUCT_BITS = 24
 
 # _weight_slices handles 2^_SLICE_BITS products per chunk: every bit plane
@@ -42,8 +42,8 @@ MAX_PRODUCT_BITS = 24
 _SLICE_BITS = 16
 
 # Nodes the CSS search may visit before it refuses, as the distance guard
-# does: about 1,300 times the most any class representative on up to 7
-# qubits needs (803).
+# does: about 3,600 times the most any class representative on up to 7
+# qubits needs (290).
 CSS_MAX_NODES = 1 << 20
 
 
@@ -132,20 +132,6 @@ def _weight_slices(rows, n: int):
         yield h << c, at_least
 
 
-def _least_weight(rows, n: int, first: int) -> int:
-    """Least weight among the products of rows numbered first and up (see
-    _weight_slices); none of those may be the identity.  Stops at weight 1,
-    which no product can beat."""
-    best = n + 1
-    for base, at_least in _weight_slices(rows, n):
-        skip = first - base
-        valid = at_least[0] >> skip << skip if skip > 0 else at_least[0]
-        best = next((w for w in range(1, best) if valid & ~at_least[w + 1]), best)
-        if best == 1:
-            break
-    return best
-
-
 def weight_enumerator(g: StabGroup) -> WeightEnum:
     """Exact weight distribution of all 2^r group elements.
 
@@ -166,47 +152,52 @@ def weight_enumerator(g: StabGroup) -> WeightEnum:
     return WeightEnum(tuple(coeffs))
 
 
-def distance(g: StabGroup) -> int:
-    """Code distance.
+def distance(g: StabGroup, weights=None) -> int:
+    """Code distance, read off the weight enumerator.
 
     For k > 0 this is the minimum weight over operators commuting with the
     group but outside it; for k = 0 the minimum nonzero weight inside the
-    group; the trivial group gets distance 1.  Both are exact minima over
-    products of one row list.  For k = 0 the rows are the generators, and
-    the products numbered 1 and up are the group's nonidentity elements.
-    For k > 0 the rows are the generators followed by the 2k logical_rows,
-    which complete them to a basis of the centralizer; with the generators
-    in the low r bits, the products numbered 2^r and up are exactly the
-    centralizer elements with a nonzero logical part, that is, those
-    outside the group.  Raises ValueError, before it builds any row, when
-    the search would cover more than 2^MAX_PRODUCT_BITS operators.
+    group; the trivial group gets distance 1.  The group's enumerator A
+    gives the centralizer's by the quantum MacWilliams identity, B(y) =
+    2^-r sum_i A_i (1 + 3y)^(n - i) (1 - y)^i, expanded in exact integers
+    by Horner's rule over i: multiply by (1 + 3y), then add A_i (1 - y)^i.
+    B has degree n, so every product is cut at y^n.  The group lies in its
+    centralizer, so d is the least j >= 1 with B_j > A_j.  For k = 0 the
+    two are one group, B = A, and d is the least j >= 1 with A_j > 0; a
+    trivial group has B_1 = 3n, so d = 1.  A caller that already has the
+    enumerator's coefficients passes them as weights; otherwise
+    weight_enumerator computes them and raises ValueError past its bound.
     """
-    if g.r == 0:
-        return 1
-    bits = 2 * g.k + g.r
-    if bits > MAX_PRODUCT_BITS:
-        raise ValueError(
-            f"distance search over 2^{bits} operators exceeds the enumeration guard"
-        )
-    if g.k == 0:
-        return _least_weight(g.rows, g.n, 1)
-    return _least_weight([*g.rows, *logical_rows(g)], g.n, 1 << g.r)
+    if weights is None:
+        weights = weight_enumerator(g).coeffs
+    n = g.n
+    centralizer = [0] * (n + 1)  # 2^r times B
+    power = [1] + [0] * n  # (1 - y)^i
+    for a in weights:
+        centralizer = [
+            c + 3 * b + a * p for c, b, p in zip(centralizer, [0, *centralizer], power)
+        ]
+        power = [p - q for p, q in zip(power, [0, *power])]
+    for j in range(1, n + 1):
+        if centralizer[j] > weights[j] << g.r:
+            return j
+    return next(j for j in range(1, n + 1) if weights[j])
 
 
-def is_degenerate(g: StabGroup, d: int | None = None, weights=None) -> bool:
+def is_degenerate(g: StabGroup, weights=None) -> bool:
     """Whether some nonidentity group element weighs less than the distance.
 
     Only defined meaningfully for k > 0; k = 0 returns False.  The element
-    weights are read off the weight enumerator: some element weighs less
-    than d exactly when a coefficient at 1 <= w < d is nonzero.  A caller
-    that already has the distance or the enumerator's coefficients passes
-    them as d or weights, so they are not computed again.
+    weights and the distance are both read off the weight enumerator: some
+    element weighs less than d exactly when a coefficient at 1 <= w < d is
+    nonzero.  A caller that already has the enumerator's coefficients
+    passes them as weights, so they are not computed again.
     """
     if g.k == 0:
         return False
     if weights is None:
         weights = weight_enumerator(g).coeffs
-    return any(weights[1 : distance(g) if d is None else d])
+    return any(weights[1 : distance(g, weights)])
 
 
 def is_even(g: StabGroup) -> bool:
@@ -258,10 +249,14 @@ def css_representative(g: StabGroup):
     from the swapped sources comes earlier: a global H swaps the two parts,
     keeping rank(X) + rank(Z), so it maps the witnesses below one gate onto
     those below the other, and the earlier gate's subtree, searched first,
-    holds one exactly when the skipped one does.  Qubit permutations never
-    help, so none are tried.  Once the search visits more than
-    CSS_MAX_NODES nodes, _css_excluded answers None when it proves that no
-    witness exists, and ValueError is raised otherwise.
+    holds one exactly when the skipped one does.  At any node, a gate whose
+    reduced pair (vx, vz) equals that of a gate already tried there is
+    skipped: the two subtrees are the same search, and the earlier one
+    found nothing.  So an idle qubit, whose six pairs are all (0, 0), costs
+    one node.  Qubit permutations never help, so none are tried.  Once the
+    search visits more than CSS_MAX_NODES nodes, _css_excluded answers None
+    when it proves that no witness exists, and ValueError is raised
+    otherwise.
     """
     n, r = g.n, g.r
     if r == 0:
@@ -300,13 +295,15 @@ def css_representative(g: StabGroup):
         zx, zz = reduce_row(basis_z, cx), reduce_row(basis_z, cz)
         red_x = (xx, xz, xx ^ xz)
         red_z = (zx, zz, zx ^ zz)
+        tried = set()
         for gate, (src_x, src_z) in enumerate(_SOURCES):
             if j == 0 and _SOURCES.index((src_z, src_x)) < gate:
                 continue  # the X<->Z mirror of a gate already searched
             vx = red_x[src_x]
             vz = red_z[src_z]
-            if (vx != 0) + (vz != 0) > room:
+            if (vx != 0) + (vz != 0) > room or (vx, vz) in tried:
                 continue
+            tried.add((vx, vz))
             gates.append(gate)
             if search(
                 j + 1,

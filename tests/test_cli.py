@@ -254,8 +254,22 @@ def test_props_mixed_lengths_exit_2(gens, bad, capsys):
 
 
 def test_props_oversized_group_exits_2(capsys):
-    assert main(["props", "--gens", "X" * 20]) == 2
+    # rank 25: the weight enumerator's bound, the only one on d, A and
+    # degeneracy
+    gens = ";".join("I" * j + "Z" + "I" * (24 - j) for j in range(25))
+    assert main(["props", "--gens", gens]) == 2
     assert "enumeration guard" in capsys.readouterr().err
+
+
+def test_props_answers_many_logical_qubits(capsys):
+    # five copies of [[5,1,3]]: 2k + r = 30, a distance read off the 2^20
+    # group elements
+    five = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+    gens = ";".join(
+        "I" * (5 * c) + s + "I" * (20 - 5 * c) for c in range(5) for s in five
+    )
+    assert main(["props", "--gens", gens]) == 0
+    assert "d: 3\n" in capsys.readouterr().out
 
 
 def test_canon_rank_16_exits_2(capsys):
@@ -432,7 +446,6 @@ def test_readme_bounds_match_constants():
         f"2^{bits} products",
         f"chunks of 2^{properties._SLICE_BITS}",
         f"at most {1 << (bits - properties._SLICE_BITS)} chunks",
-        f"2k + r > {bits}",
         f"rank above {bits}",
         f"above {vertices:,}",
         f"more than {canon._MAX_QUBITS} qubits",

@@ -23,7 +23,7 @@ from stabdb.db import (
 from stabdb.pauli import StabGroup
 from stabdb.search import enumerate_classes
 
-from util import read_db_per_line
+from util import count_calls, read_db_per_line
 
 FIVE_QUBIT = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -64,35 +64,14 @@ def test_five_qubit_record():
     assert bytes.fromhex(rec.canonical_key) == class_key(rec.group())
 
 
-def test_record_runs_distance_once(monkeypatch):
-    calls = []
-    for module in (db, properties):
-        inner = module.distance
-
-        def counted(g, inner=inner):
-            calls.append(g)
-            return inner(g)
-
-        monkeypatch.setattr(module, "distance", counted)
+def test_record_runs_the_weight_kernel_once(monkeypatch):
+    # one weight enumerator serves the distance, the enumerator itself and
+    # degeneracy
+    counts = {}
+    count_calls(monkeypatch, counts, properties, "_weight_slices")
     rec = record_from_group(StabGroup.from_strings(FIVE_QUBIT, 5), 0)
-    assert rec.d == 3
-    assert len(calls) == 1
-
-
-def test_record_finds_least_stabilizer_weight_once(monkeypatch):
-    # is_degenerate reads the weight enumerator, so the only least-weight
-    # search left is the distance's walk over the centralizer
-    calls = []
-    inner = properties._least_weight
-
-    def counted(rows, n, first):
-        calls.append(first)
-        return inner(rows, n, first)
-
-    monkeypatch.setattr(properties, "_least_weight", counted)
-    rec = record_from_group(StabGroup.from_strings(FIVE_QUBIT, 5), 0)
-    assert not rec.is_degenerate
-    assert calls == [1 << 4]
+    assert (rec.d, rec.is_degenerate) == (3, False)
+    assert counts["_weight_slices"] == 1
 
 
 def test_record_json_shape():

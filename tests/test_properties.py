@@ -104,13 +104,23 @@ def test_distance_brute_force_small():
         assert distance(g) == brute_distance(g)
 
 
-def test_distance_search_is_bounded():
-    # 2k + r = 25 > 24: one generator on 13 qubits leaves 2^24 cosets
-    g = StabGroup.from_strings(["Z" * 13])
-    with pytest.raises(ValueError, match="enumeration guard"):
-        distance(g)
-    with pytest.raises(ValueError, match="enumeration guard"):
-        is_degenerate(g)
+def test_distance_past_the_old_centralizer_bound(monkeypatch):
+    # groups with 2k + r > 24, whose 2^(2k + r) centralizer operators the
+    # distance no longer walks: it reads the 2^r group elements alone
+    for n in (20, 24):
+        assert distance(StabGroup.from_strings(["X" * n, "Z" * n])) == 2
+    # five copies of [[5,1,3]]: n = 25, r = 20, k = 5
+    five = group_from_row(PERFECT_513_ROW).generator_strings()
+    g = StabGroup.from_strings(
+        ["I" * (5 * c) + s + "I" * (20 - 5 * c) for c in range(5) for s in five]
+    )
+    assert (g.n, g.r, g.k) == (25, 20, 5)
+    counts = {}
+    count_calls(monkeypatch, counts, properties, "_weight_slices")
+    weights = weight_enumerator(g).coeffs
+    assert distance(g, weights) == 3
+    assert not is_degenerate(g, weights)
+    assert counts["_weight_slices"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -148,19 +158,22 @@ def test_weight_invariants_match_walks(weight_oracles, monkeypatch, slice_bits):
         assert distance(g) == d, g
         assert weight_enumerator(g).coeffs == coeffs, g
         assert is_degenerate(g) == degenerate, g
-        assert is_degenerate(g, d, coeffs) == degenerate, g
+        assert distance(g, coeffs) == d, g
+        assert is_degenerate(g, coeffs) == degenerate, g
         assert is_even(g) == even, g
 
 
 def test_distance_over_two_chunks_matches_brute_force():
-    # 2k + r = 17 rows: two chunks of 2^16 products
+    # 2^17 centralizer operators, more than one chunk of 2^16 products, on
+    # the brute-force side; the distance reads the 2 group elements
     g = random_stab_group(9, 1, random.Random(59))
     assert 2 * g.k + g.r == 17
     assert distance(g) == brute_distance(g)
 
 
 def test_distance_at_the_guard_is_fast_and_small():
-    # 2k + r = 24, the most the guard admits: 2^24 operators in 256 chunks
+    # 2k + r = 24: 2^24 centralizer operators, which the distance reads off
+    # the enumerator of the 2^8 group elements
     g = random_stab_group(16, 8, random.Random(3))
     # the oracle: no Pauli of weight 1, and some of weight 2, commutes
     # with every generator and lies outside the group
@@ -312,6 +325,15 @@ def test_css_search_is_bounded(monkeypatch):
         css_representative(group_from_row(PERFECT_513_ROW))
 
 
+def test_css_search_skips_idle_qubits():
+    # an idle qubit's six gates all reduce to the pair (0, 0), so it adds one
+    # node instead of six subtrees: [[5,1,3]] after 6 idle qubits is
+    # decided within the node bound
+    five = group_from_row(PERFECT_513_ROW).generator_strings()
+    g = StabGroup.from_strings(["I" * 6 + s for s in five])
+    assert css_representative(g) is None
+
+
 def test_css_fallback_agrees_with_search(full_enumeration, monkeypatch):
     # with no node allowed, only the fallback answers a group of rank >= 1:
     # it may prove there is no CSS form, and never for a class the search
@@ -403,8 +425,9 @@ def test_css_witness_is_first_odometer_hit():
 
 
 def test_css_search_matches_unmirrored_reference(full_enumeration, monkeypatch):
-    # skipping the X<->Z mirror at qubit 0 keeps the first witness, or
-    # None, of the search that tries it, on every n <= 6 class and on 140
+    # skipping the X<->Z mirror at qubit 0, and a gate whose reduced pair
+    # repeats one already tried at its node, keeps the first witness, or
+    # None, of the search that tries both, on every n <= 6 class and on 140
     # random 7-qubit groups, and visits fewer nodes: a node below qubit n
     # makes 4 reduce_row calls, after 2n for the prefix ranks
     reps = [
@@ -432,7 +455,7 @@ def test_css_search_matches_unmirrored_reference(full_enumeration, monkeypatch):
                 reference_nodes += visited
         work.append((counts["reduce_row"], nodes, reference_nodes))
     # (reduce_row calls, nodes, the reference's nodes)
-    assert work == [(40402, 8810, 13568), (25164, 5861, 10919)]
+    assert work == [(35034, 7468, 13568), (21604, 4971, 10919)]
 
 
 def test_css_reference_counts_small():

@@ -65,9 +65,9 @@ def read_db_per_line(directory, n: int, k: int) -> list:
 
 def reference_css_search(g: StabGroup):
     """properties.css_representative's search as it was before it skipped
-    the X<->Z mirror at qubit 0: (gates of the first witness or None,
-    nodes visited), with no node bound (the oracle the faster search must
-    match on every group it decides)."""
+    the X<->Z mirror at qubit 0 and repeated reduced pairs: (gates of the
+    first witness or None, nodes visited), with no node bound (the oracle
+    the faster search must match on every group it decides)."""
     n, r = g.n, g.r
     if r == 0:
         return (0,) * n, 1
