@@ -153,24 +153,27 @@ def weight_enumerator(g: StabGroup) -> WeightEnum:
 
 
 def distance(g: StabGroup, weights=None) -> int:
-    """Code distance, read off the weight enumerator.
-
-    For k > 0 this is the minimum weight over operators commuting with the
-    group but outside it; for k = 0 the minimum nonzero weight inside the
-    group; the trivial group gets distance 1.  The group's enumerator A
-    gives the centralizer's by the quantum MacWilliams identity, B(y) =
-    2^-r sum_i A_i (1 + 3y)^(n - i) (1 - y)^i, expanded in exact integers
-    by Horner's rule over i: multiply by (1 + 3y), then add A_i (1 - y)^i.
-    B has degree n, so every product is cut at y^n.  The group lies in its
-    centralizer, so d is the least j >= 1 with B_j > A_j.  For k = 0 the
-    two are one group, B = A, and d is the least j >= 1 with A_j > 0; a
-    trivial group has B_1 = 3n, so d = 1.  A caller that already has the
-    enumerator's coefficients passes them as weights; otherwise
-    weight_enumerator computes them and raises ValueError past its bound.
-    """
+    """Code distance: for k > 0 the least weight commuting with the group
+    but outside it, for k = 0 the least nonzero weight in it, 1 for the
+    trivial group.  A caller that has the enumerator passes its coeffs as
+    weights; else weight_enumerator raises ValueError past its bound."""
     if weights is None:
         weights = weight_enumerator(g).coeffs
-    n = g.n
+    return _distance(weights, g.r)
+
+
+def _distance(weights, r: int) -> int:
+    """The distance read off a rank-r group's enumerator A = weights.
+
+    The quantum MacWilliams identity gives the centralizer's enumerator,
+    B(y) = 2^-r sum_i A_i (1 + 3y)^(n - i) (1 - y)^i, expanded in exact
+    integers by Horner's rule over i: multiply by (1 + 3y), then add
+    A_i (1 - y)^i.  B has degree n, so every product is cut at y^n.  The
+    group lies in its centralizer, so d is the least j >= 1 with B_j > A_j.
+    For k = 0 the two are one group, B = A, and d is the least j >= 1 with
+    A_j > 0; a trivial group has B_1 = 3n, so d = 1.
+    """
+    n = len(weights) - 1
     centralizer = [0] * (n + 1)  # 2^r times B
     power = [1] + [0] * n  # (1 - y)^i
     for a in weights:
@@ -179,7 +182,7 @@ def distance(g: StabGroup, weights=None) -> int:
         ]
         power = [p - q for p, q in zip(power, [0, *power])]
     for j in range(1, n + 1):
-        if centralizer[j] > weights[j] << g.r:
+        if centralizer[j] > weights[j] << r:
             return j
     return next(j for j in range(1, n + 1) if weights[j])
 
@@ -190,14 +193,14 @@ def is_degenerate(g: StabGroup, weights=None) -> bool:
     Only defined meaningfully for k > 0; k = 0 returns False.  The element
     weights and the distance are both read off the weight enumerator: some
     element weighs less than d exactly when a coefficient at 1 <= w < d is
-    nonzero.  A caller that already has the enumerator's coefficients
-    passes them as weights, so they are not computed again.
+    nonzero.  The distance is _distance's, not a second distance call, and
+    a caller that has the enumerator's coefficients passes them as weights.
     """
     if g.k == 0:
         return False
     if weights is None:
         weights = weight_enumerator(g).coeffs
-    return any(weights[1 : distance(g, weights)])
+    return any(weights[1 : _distance(weights, g.r)])
 
 
 def is_even(g: StabGroup) -> bool:

@@ -64,9 +64,24 @@ def test_five_qubit_record():
     assert bytes.fromhex(rec.canonical_key) == class_key(rec.group())
 
 
-def test_record_runs_the_weight_kernel_once(monkeypatch):
-    # one weight enumerator serves the distance, the enumerator itself and
-    # degeneracy
+def test_record_runs_distance_once(monkeypatch):
+    calls = []
+    for module in (db, properties):
+        inner = module.distance
+
+        def counted(g, *args, inner=inner):
+            calls.append(g)
+            return inner(g, *args)
+
+        monkeypatch.setattr(module, "distance", counted)
+    rec = record_from_group(StabGroup.from_strings(FIVE_QUBIT, 5), 0)
+    assert rec.d == 3
+    assert len(calls) == 1
+
+
+def test_record_finds_least_stabilizer_weight_once(monkeypatch):
+    # one weight-kernel pass gives the stabilizer weights that the distance,
+    # the enumerator itself and degeneracy all read
     counts = {}
     count_calls(monkeypatch, counts, properties, "_weight_slices")
     rec = record_from_group(StabGroup.from_strings(FIVE_QUBIT, 5), 0)
